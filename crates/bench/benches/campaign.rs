@@ -104,10 +104,7 @@ fn campaign_parallel_bench(c: &mut Criterion) {
     }
     // No distributed/cache rows from here: the Criterion bench has no
     // worker binary of its own, and bench-regression owns those rows.
-    measure::write_baseline(
-        "BENCH_campaign.json",
-        &measure::campaign_json(&scales, &[], &[]),
-    );
+    measure::write_baseline("BENCH_campaign.json", &measure::campaign_json(&scales, &[]));
 }
 
 criterion_group!(benches, itdk_bench, campaign_bench, campaign_parallel_bench);

@@ -9,12 +9,14 @@
 //!                             (internal) distributed worker mode
 //! ```
 //!
+//! Wall times are gated too: each scale's substrate build (topology
+//! plus control plane) and each run's post-merge analysis may not grow
+//! more than 20% over the baseline, above a small absolute slack.
+//!
 //! The gate also fails when any recording-off packet walk — batched
 //! or scalar, at either scale — performs a heap allocation, regardless
 //! of throughput: the allocation-free walk is an invariant, not a
-//! number that may drift. Likewise the substrate cache's warm restore
-//! must cost at most half its cold build — a machine-independent ratio
-//! checked on every fresh measurement, not just against the baseline.
+//! number that may drift.
 //!
 //! The distributed rows re-invoke *this binary* as the worker process
 //! (the `campaign-worker` argv mode above), so the gate measures the
@@ -23,7 +25,7 @@
 
 use std::process::ExitCode;
 use wormhole_bench::measure;
-use wormhole_topo::{cache_file, config_checksum, generate_cached, InternetConfig};
+use wormhole_topo::InternetConfig;
 
 /// Largest tolerated throughput drop versus a committed baseline.
 const MAX_REGRESSION: f64 = 0.20;
@@ -31,11 +33,6 @@ const MAX_REGRESSION: f64 = 0.20;
 /// Absolute slack under which the wall-time gates never fire: at
 /// sub-10ms the signal is scheduler noise, not a regression.
 const TIME_SLACK_SECONDS: f64 = 0.010;
-
-/// Largest tolerated warm-restore share of the cold build — the
-/// substrate cache earns its keep only while restoring is at least
-/// twice as fast as rebuilding.
-const MAX_WARM_SHARE: f64 = 0.50;
 
 fn check(name: &str, baseline: f64, fresh: f64, failures: &mut Vec<String>) {
     let floor = baseline * (1.0 - MAX_REGRESSION);
@@ -52,7 +49,7 @@ fn check(name: &str, baseline: f64, fresh: f64, failures: &mut Vec<String>) {
 /// Wall-time gate: `what` seconds may not grow more than 20% over the
 /// committed baseline, with an absolute slack floor so
 /// microsecond-scale rows on small runs never flap. Guards the
-/// incremental-aggregation analysis time and the cache warm restore.
+/// incremental-aggregation analysis time and the substrate build.
 fn check_seconds(name: &str, what: &str, baseline: f64, fresh: f64, failures: &mut Vec<String>) {
     let ceiling = baseline * (1.0 + MAX_REGRESSION) + TIME_SLACK_SECONDS;
     if fresh > ceiling {
@@ -107,18 +104,10 @@ fn main() -> ExitCode {
     ];
     let engine = measure::measure_engine(&tenfold, &thousandfold);
 
-    // Distributed row: two worker processes at tenfold, sharing a
-    // prewarmed substrate cache so each phase's workers restore the
-    // control plane instead of rebuilding it N times over.
-    let tenfold_cfg = InternetConfig::tenfold(8);
-    let shared_cache = std::env::temp_dir().join(format!(
-        "wormhole-bench-shared-cache-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&shared_cache);
-    generate_cached(&tenfold_cfg, &shared_cache).expect("prewarm the shared substrate cache");
-    // The dispatcher appends `campaign-worker --shard-spec <file>`
-    // itself; the command prefix is just this binary.
+    // Distributed row: two worker processes at tenfold, each rebuilding
+    // the substrate from its token. The dispatcher appends
+    // `campaign-worker --shard-spec <file>` itself; the command prefix
+    // is just this binary.
     let worker_cmd = vec![std::env::current_exe()
         .expect("current executable path")
         .to_string_lossy()
@@ -129,18 +118,6 @@ fn main() -> ExitCode {
         2,
         worker_cmd,
         "tenfold:8",
-        Some((
-            cache_file(&shared_cache, &tenfold_cfg),
-            config_checksum(&tenfold_cfg),
-        )),
-    )];
-    let _ = std::fs::remove_dir_all(&shared_cache);
-
-    // Cache row: cold build vs warm restore at the scale where the
-    // cache matters most (the thousandfold plane dominates build time).
-    let cache = vec![measure::time_cache(
-        "thousandfold",
-        &InternetConfig::thousandfold(8),
     )];
 
     for line in measure::summary_lines(&scales) {
@@ -153,14 +130,8 @@ fn main() -> ExitCode {
             d.scale, d.workers, d.probes_per_sec, d.probes, d.seconds
         );
     }
-    for c in &cache {
-        println!(
-            "substrate cache {}: cold {:.3}s, warm {:.3}s ({:.0}% of cold)",
-            c.scale,
-            c.cold_seconds,
-            c.warm_seconds,
-            100.0 * c.warm_seconds / c.cold_seconds
-        );
+    for s in &scales {
+        println!("substrate build {}: {:.3}s", s.scale, s.build_seconds);
     }
     for w in &engine.walks {
         println!(
@@ -176,7 +147,7 @@ fn main() -> ExitCode {
     if write {
         measure::write_baseline(
             "BENCH_campaign.json",
-            &measure::campaign_json(&scales, &dist, &cache),
+            &measure::campaign_json(&scales, &dist),
         );
         measure::write_baseline("BENCH_engine.json", &measure::engine_json(&engine));
         println!("baselines rewritten");
@@ -192,26 +163,6 @@ fn main() -> ExitCode {
             ));
         }
     }
-    // Machine-independent cache invariant, checked on the fresh
-    // numbers regardless of what the baseline says: a warm restore
-    // that costs more than half a cold build means the cache payload
-    // (or its decode path) regressed.
-    for c in &cache {
-        let ceiling = MAX_WARM_SHARE * c.cold_seconds;
-        if c.warm_seconds > ceiling {
-            failures.push(format!(
-                "substrate cache {}: warm restore {:.3}s exceeds {:.3}s \
-                 (50% of the {:.3}s cold build)",
-                c.scale, c.warm_seconds, ceiling, c.cold_seconds
-            ));
-        } else {
-            println!(
-                "ok substrate cache {}: warm {:.3}s within 50% of cold {:.3}s",
-                c.scale, c.warm_seconds, c.cold_seconds
-            );
-        }
-    }
-
     match measure::read_baseline("BENCH_campaign.json") {
         Some(json) => {
             for base in measure::parse_campaign_baseline(&json) {
@@ -263,18 +214,14 @@ fn main() -> ExitCode {
                     )),
                 }
             }
-            for base in measure::parse_cache_baseline(&json) {
-                let name = format!("substrate cache {}", base.scale);
-                match cache.iter().find(|c| c.scale == base.scale) {
-                    Some(c) => check_seconds(
-                        &name,
-                        "warm restore",
-                        base.warm_seconds,
-                        c.warm_seconds,
-                        &mut failures,
-                    ),
+            for (scale, base_build) in measure::parse_build_baseline(&json) {
+                let name = format!("substrate build {scale}");
+                match scales.iter().find(|s| s.scale == scale) {
+                    Some(s) => {
+                        check_seconds(&name, "build", base_build, s.build_seconds, &mut failures)
+                    }
                     None => failures.push(format!(
-                        "{name}: committed baseline has no fresh measurement — the cache matrix \
+                        "{name}: committed baseline has no fresh measurement — the scale matrix \
                          shrank; refresh the baseline with --write if that was intended"
                     )),
                 }

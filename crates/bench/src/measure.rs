@@ -7,12 +7,11 @@
 //! JSON is emitted (and re-parsed) by hand — one run object per line —
 //! to keep the bench crate free of serialisation dependencies.
 
-use std::path::PathBuf;
 use std::time::Instant;
 use wormhole_core::{Campaign, CampaignConfig, DistributedOpts, Scheduling};
 use wormhole_net::{Addr, ControlPlane, FaultPlan, FaultScenario, ProbeState, SubstrateRef};
 use wormhole_probe::{NullSink, Session};
-use wormhole_topo::{generate, generate_cached, CacheStatus, Internet, InternetConfig};
+use wormhole_topo::{generate, Internet, InternetConfig};
 
 /// One timed §4 campaign at a fixed worker count, fault scenario and
 /// executor, with the per-phase breakdown the campaign itself reports.
@@ -48,7 +47,8 @@ pub struct ScaleBench {
     pub transit_ases: usize,
     /// Router count of the generated Internet.
     pub routers: usize,
-    /// Wall seconds to generate the Internet, control plane included.
+    /// Wall seconds to generate the Internet, control plane included
+    /// (fastest of three builds).
     pub build_seconds: f64,
     /// The timed runs, in matrix order.
     pub runs: Vec<CampaignRun>,
@@ -91,11 +91,20 @@ pub fn cores() -> usize {
 }
 
 /// Generates the Internet for `cfg`, returning it with the build wall
-/// seconds (topology plus control plane).
+/// seconds (topology plus control plane). Generation is deterministic,
+/// so it runs three times and the fastest build is kept — the same
+/// noise guard as [`time_campaign`], since `bench-regression` gates
+/// this number.
 pub fn generate_timed(cfg: &InternetConfig) -> (Internet, f64) {
-    let t0 = Instant::now();
-    let internet = generate(cfg);
-    (internet, t0.elapsed().as_secs_f64())
+    let mut best = f64::INFINITY;
+    let mut internet = None;
+    for _ in 0..3 {
+        drop(internet.take());
+        let t0 = Instant::now();
+        internet = Some(generate(cfg));
+        best = best.min(t0.elapsed().as_secs_f64());
+    }
+    (internet.expect("three builds produce an Internet"), best)
 }
 
 /// Times one §4 campaign over an already-generated Internet. The
@@ -178,35 +187,19 @@ pub struct DistRun {
     pub probes_per_sec: f64,
 }
 
-/// Cold-build versus warm-restore wall seconds for the on-disk
-/// substrate cache at one scale. The acceptance bar is a *ratio* —
-/// `warm_seconds <= 0.5 * cold_seconds` — so the gate holds on any
-/// runner speed.
-#[derive(Clone, Debug)]
-pub struct CacheBench {
-    /// Scale name the timings belong to.
-    pub scale: &'static str,
-    /// Wall seconds for the cold pass: generate, build, save.
-    pub cold_seconds: f64,
-    /// Wall seconds for the warm pass: generate topology, restore the
-    /// control plane from disk (fastest of three restores).
-    pub warm_seconds: f64,
-}
-
 /// Times one distributed campaign over an already-generated Internet.
 /// `worker_cmd` is the argv prefix re-invoked per worker (the caller
-/// supplies its own binary's worker mode); `cache` points every worker
-/// at a prewarmed substrate-cache file so the run measures the steady
-/// state, not N redundant control-plane builds. One timed run — each
-/// phase already spawns `workers` processes, so the run is its own
-/// repetition — and the work dir is cleaned up afterwards.
+/// supplies its own binary's worker mode); every worker rebuilds the
+/// substrate from `substrate_token`, so the run includes those builds.
+/// One timed run — each phase already spawns `workers` processes, so
+/// the run is its own repetition — and the work dir is cleaned up
+/// afterwards.
 pub fn time_distributed(
     scale: &'static str,
     internet: &Internet,
     workers: usize,
     worker_cmd: Vec<String>,
     substrate_token: &str,
-    cache: Option<(PathBuf, u64)>,
 ) -> DistRun {
     let work_dir = std::env::temp_dir().join(format!(
         "wormhole-bench-dist-{scale}-{}",
@@ -217,7 +210,6 @@ pub fn time_distributed(
         worker_cmd,
         substrate_token: substrate_token.to_string(),
         work_dir: work_dir.clone(),
-        cache,
         keep_files: false,
         chaos_abort_worker: None,
     };
@@ -248,36 +240,6 @@ pub fn time_distributed(
     }
 }
 
-/// Times the substrate cache at one scale in a scratch directory: one
-/// cold pass (build + save), then the fastest of three warm restores.
-/// Panics if the cache does not actually go cold-then-warm — a silently
-/// cold second pass would fake a regression.
-pub fn time_cache(scale: &'static str, cfg: &InternetConfig) -> CacheBench {
-    let dir = std::env::temp_dir().join(format!(
-        "wormhole-bench-cache-{scale}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create cache scratch dir");
-    let t0 = Instant::now();
-    let (_internet, status) = generate_cached(cfg, &dir).expect("cold cache pass");
-    let cold_seconds = t0.elapsed().as_secs_f64();
-    assert_eq!(status, CacheStatus::Cold, "first pass must build the cache");
-    let mut warm_seconds = f64::INFINITY;
-    for _ in 0..3 {
-        let t = Instant::now();
-        let (_internet, status) = generate_cached(cfg, &dir).expect("warm cache pass");
-        warm_seconds = warm_seconds.min(t.elapsed().as_secs_f64());
-        assert_eq!(status, CacheStatus::Warm, "later passes must restore");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    CacheBench {
-        scale,
-        cold_seconds,
-        warm_seconds,
-    }
-}
-
 /// One human-readable line per run, for bench and CI logs.
 pub fn summary_lines(scales: &[ScaleBench]) -> Vec<String> {
     scales
@@ -304,12 +266,11 @@ pub fn summary_lines(scales: &[ScaleBench]) -> Vec<String> {
 }
 
 /// Renders campaign measurements as the `BENCH_campaign.json` document.
-/// Distributed and substrate-cache rows are optional sections — an
-/// emitter with nothing to report (the Criterion bench, which has no
-/// worker binary on hand) omits them rather than writing empty arrays,
-/// and each row carries its scale inline so the one-line parsers stay
-/// line-local.
-pub fn campaign_json(scales: &[ScaleBench], dist: &[DistRun], cache: &[CacheBench]) -> String {
+/// Distributed rows are an optional section — an emitter with nothing
+/// to report (the Criterion bench, which has no worker binary on hand)
+/// omits it rather than writing an empty array, and each row carries
+/// its scale inline so the one-line parsers stay line-local.
+pub fn campaign_json(scales: &[ScaleBench], dist: &[DistRun]) -> String {
     let mut tail = String::new();
     if !dist.is_empty() {
         let rows: Vec<String> = dist
@@ -324,21 +285,6 @@ pub fn campaign_json(scales: &[ScaleBench], dist: &[DistRun], cache: &[CacheBenc
             .collect();
         tail.push_str(&format!(
             ",\n  \"distributed\": [\n{}\n  ]",
-            rows.join(",\n")
-        ));
-    }
-    if !cache.is_empty() {
-        let rows: Vec<String> = cache
-            .iter()
-            .map(|c| {
-                format!(
-                    "    {{\"scale\": \"{}\", \"cold_seconds\": {:.6}, \"warm_seconds\": {:.6}}}",
-                    c.scale, c.cold_seconds, c.warm_seconds
-                )
-            })
-            .collect();
-        tail.push_str(&format!(
-            ",\n  \"substrate_cache\": [\n{}\n  ]",
             rows.join(",\n")
         ));
     }
@@ -610,30 +556,22 @@ pub fn parse_distributed_baseline(json: &str) -> Vec<DistBaseline> {
         .collect()
 }
 
-/// A substrate-cache cold/warm timing entry from a committed
-/// `BENCH_campaign.json`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CacheBaseline {
-    /// Scale name the timings belong to.
-    pub scale: String,
-    /// Committed cold-pass wall seconds.
-    pub cold_seconds: f64,
-    /// Committed warm-pass wall seconds.
-    pub warm_seconds: f64,
-}
-
-/// Extracts the substrate-cache rows from a `BENCH_campaign.json`
-/// document, keyed on `"cold_seconds":` + `"warm_seconds":`.
-pub fn parse_cache_baseline(json: &str) -> Vec<CacheBaseline> {
-    json.lines()
-        .filter_map(|line| {
-            Some(CacheBaseline {
-                scale: str_field(line, "scale")?,
-                cold_seconds: num_field(line, "cold_seconds")?,
-                warm_seconds: num_field(line, "warm_seconds")?,
-            })
-        })
-        .collect()
+/// The committed build wall seconds of every scale section of a
+/// `BENCH_campaign.json` document, as `(scale, build_seconds)`. Keys on
+/// the `"build_seconds":` line, which the emitter writes after the
+/// section's `"scale":` line.
+pub fn parse_build_baseline(json: &str) -> Vec<(String, f64)> {
+    let mut scale = None;
+    let mut out = Vec::new();
+    for line in json.lines() {
+        if let Some(s) = str_field(line, "scale") {
+            scale = Some(s);
+        }
+        if let (Some(s), Some(secs)) = (&scale, num_field(line, "build_seconds")) {
+            out.push((s.clone(), secs));
+        }
+    }
+    out
 }
 
 /// A named walk-throughput row extracted from a committed
@@ -731,17 +669,9 @@ mod tests {
         }]
     }
 
-    fn sample_cache() -> Vec<CacheBench> {
-        vec![CacheBench {
-            scale: "thousandfold",
-            cold_seconds: 2.4,
-            warm_seconds: 0.6,
-        }]
-    }
-
     #[test]
     fn campaign_json_round_trips_through_the_baseline_parser() {
-        let json = campaign_json(&sample_scales(), &[], &[]);
+        let json = campaign_json(&sample_scales(), &[]);
         let runs = parse_campaign_baseline(&json);
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[0].scale, "tenfold");
@@ -757,8 +687,8 @@ mod tests {
     }
 
     #[test]
-    fn distributed_and_cache_rows_round_trip_without_confusing_the_run_parser() {
-        let json = campaign_json(&sample_scales(), &sample_dist(), &sample_cache());
+    fn distributed_rows_round_trip_without_confusing_the_run_parser() {
+        let json = campaign_json(&sample_scales(), &sample_dist());
 
         let dist = parse_distributed_baseline(&json);
         assert_eq!(dist.len(), 1);
@@ -766,19 +696,18 @@ mod tests {
         assert_eq!(dist[0].workers, 2);
         assert!((dist[0].probes_per_sec - 6463.3).abs() < 0.2);
 
-        let cache = parse_cache_baseline(&json);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache[0].scale, "thousandfold");
-        assert!((cache[0].cold_seconds - 2.4).abs() < 1e-9);
-        assert!((cache[0].warm_seconds - 0.6).abs() < 1e-9);
+        assert_eq!(
+            parse_build_baseline(&json),
+            vec![("tenfold".to_string(), 1.5)]
+        );
 
-        // The legacy in-process parser must not pick the new rows up
-        // as campaign runs — they carry no "jobs" field by design.
+        // The legacy in-process parser must not pick the distributed
+        // rows up as campaign runs — they carry no "jobs" field by
+        // design.
         assert_eq!(parse_campaign_baseline(&json).len(), 2);
-        // And a baseline without the new sections parses to empty.
-        let bare = campaign_json(&sample_scales(), &[], &[]);
+        // And a baseline without the section parses to empty.
+        let bare = campaign_json(&sample_scales(), &[]);
         assert!(parse_distributed_baseline(&bare).is_empty());
-        assert!(parse_cache_baseline(&bare).is_empty());
     }
 
     #[test]

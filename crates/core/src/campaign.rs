@@ -1542,8 +1542,6 @@ pub fn audit_input(result: &CampaignResult) -> wormhole_lint::CampaignAudit {
                     shard_probes: p.shard_probes,
                 })
                 .collect(),
-            master_cache: d.master_cache_checksum,
-            worker_cache: d.worker_cache_checksums.clone(),
         }),
     }
 }

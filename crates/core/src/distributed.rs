@@ -34,7 +34,7 @@
 //! entries for its tasked VPs, which flow into the campaign's existing
 //! degraded-shard handling ([`crate::DegradedShard`]). The merged
 //! result for every surviving VP is byte-identical to a run where the
-//! worker never died. The `A311`/`A312` audit rules cross-check the
+//! worker never died. The `A311` audit rule cross-checks the
 //! accounting kept in [`DistSummary`].
 
 use crate::reveal::{
@@ -57,13 +57,13 @@ const SPEC_MAGIC: [u8; 4] = *b"WHSP";
 /// Shard file magic (`WHSH`): what each worker hands back.
 const SHARD_MAGIC: [u8; 4] = *b"WHSH";
 /// On-disk format version shared by both file kinds.
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// The valid shard-spec layout, quoted by every worker-side decode
 /// error so a malformed spec names what a well-formed one contains.
 const SPEC_FIELDS: &str = "a shard spec is: magic \"WHSP\", version, phase tag \
      (1=bootstrap 2=probe 3=fingerprint 4=revelation), worker, workers, n_vps, seed, \
-     substrate token, cache (path, config checksum), fault plan, traceroute opts, \
+     substrate token, fault plan, traceroute opts, \
      chaos-abort flag, output path, phase payload (tasks)";
 
 // ---------------------------------------------------------------------------
@@ -293,14 +293,10 @@ pub struct DistributedOpts {
     /// `(network, control plane, vantage points)` triple — e.g.
     /// `"tenfold:8"` for the CLI's scale/seed resolver. The master
     /// never ships the substrate itself; both sides regenerate it
-    /// deterministically (or load it from the shared cache below).
+    /// deterministically.
     pub substrate_token: String,
     /// Directory for spec and shard files.
     pub work_dir: PathBuf,
-    /// Substrate cache file and its config checksum, when the master
-    /// loaded (or wrote) one: workers load the same file and report
-    /// the checksum back for the `A312` agreement audit.
-    pub cache: Option<(PathBuf, u64)>,
     /// Keep spec/shard files after the merge (for CI artifacts and
     /// debugging); default behavior removes them.
     pub keep_files: bool,
@@ -331,7 +327,7 @@ pub enum DistError {
         /// What failed, plus the valid shard-spec fields.
         reason: String,
     },
-    /// A worker could not resolve its substrate token or cache file.
+    /// A worker could not resolve its substrate token.
     Substrate(String),
 }
 
@@ -391,19 +387,12 @@ pub struct DistSummary {
     pub workers: usize,
     /// One entry per dispatched phase, in phase order.
     pub phases: Vec<PhaseShardAccount>,
-    /// The config checksum of the substrate cache the master used, if
-    /// any.
-    pub master_cache_checksum: Option<u64>,
-    /// Distinct `(worker, checksum)` cache observations reported back
-    /// in shard files; `A312` checks they all agree with the master's.
-    pub worker_cache_checksums: Vec<(usize, u64)>,
 }
 
 /// One decoded shard file.
 #[derive(Debug)]
 struct ShardFile<R> {
     worker: usize,
-    cache_checksum: Option<u64>,
     results: Vec<Result<Vec<R>, String>>,
     probes: Vec<u64>,
     stats: EngineStats,
@@ -442,8 +431,6 @@ impl<'o> DistDispatcher<'o> {
             summary: DistSummary {
                 workers: opts.workers,
                 phases: Vec::new(),
-                master_cache_checksum: opts.cache.as_ref().map(|&(_, c)| c),
-                worker_cache_checksums: Vec::new(),
             },
         })
     }
@@ -541,11 +528,6 @@ impl<'o> DistDispatcher<'o> {
                     }
                     account.received += 1;
                     account.shard_probes += file.probes.iter().sum::<u64>();
-                    if let Some(c) = file.cache_checksum {
-                        if !self.summary.worker_cache_checksums.contains(&(w, c)) {
-                            self.summary.worker_cache_checksums.push((w, c));
-                        }
-                    }
                     let mut results = file.results;
                     for vp in (w..self.n_vps).step_by(workers) {
                         out[vp] = std::mem::replace(&mut results[vp], Ok(Vec::new()));
@@ -593,11 +575,6 @@ impl<'o> DistDispatcher<'o> {
         self.n_vps.put(&mut out);
         self.seed.put(&mut out);
         self.opts.substrate_token.put(&mut out);
-        self.opts
-            .cache
-            .as_ref()
-            .map(|(p, c)| (p.to_string_lossy().into_owned(), *c))
-            .put(&mut out);
         self.faults.put(&mut out);
         self.trace_opts.put(&mut out);
         chaos_abort.put(&mut out);
@@ -641,7 +618,6 @@ fn decode_shard<R: Wire>(
     }
     let file_tag = u8::take(&mut r).map_err(decode)?;
     let file_worker = usize::take(&mut r).map_err(decode)?;
-    let cache_checksum = <Option<u64> as Wire>::take(&mut r).map_err(decode)?;
     let results = Vec::<Result<Vec<R>, String>>::take(&mut r).map_err(decode)?;
     let probes = Vec::<u64>::take(&mut r).map_err(decode)?;
     let stats = EngineStats::take(&mut r).map_err(decode)?;
@@ -665,7 +641,6 @@ fn decode_shard<R: Wire>(
     }
     Ok(ShardFile {
         worker: file_worker,
-        cache_checksum,
         results,
         probes,
         stats,
@@ -681,13 +656,10 @@ fn decode_shard<R: Wire>(
 pub struct WorkerSubstrate {
     /// The network.
     pub net: Network,
-    /// Its control plane (built cold or loaded from the shared cache).
+    /// Its control plane.
     pub cp: ControlPlane,
     /// The vantage points, in the master's order.
     pub vps: Vec<RouterId>,
-    /// The config checksum of the cache file the plane was loaded
-    /// from, if any — reported back for the `A312` agreement audit.
-    pub cache_checksum: Option<u64>,
 }
 
 /// Everything a worker needs from its spec header before the phase
@@ -698,21 +670,19 @@ struct SpecHeader {
     n_vps: usize,
     seed: u64,
     token: String,
-    cache: Option<(String, u64)>,
     faults: FaultPlan,
     trace_opts: TracerouteOpts,
     chaos_abort: bool,
     output: PathBuf,
 }
 
-/// How a worker turns a spec's substrate token (plus the optional
-/// cache file and expected config checksum) back into a substrate.
-pub type SubstrateResolver = dyn Fn(&str, Option<(&Path, u64)>) -> Result<WorkerSubstrate, String>;
+/// How a worker turns a spec's substrate token back into a substrate.
+pub type SubstrateResolver = dyn Fn(&str) -> Result<WorkerSubstrate, String>;
 
 /// Runs one worker process end to end: decode the spec, resolve the
-/// substrate through `resolve` (token, optional cache file + expected
-/// checksum), execute the phase's task subset serially with the stock
-/// stealing executor, and write the shard file atomically.
+/// substrate token through `resolve`, execute the phase's task subset
+/// serially with the stock stealing executor, and write the shard file
+/// atomically.
 ///
 /// The caller (the CLI's `campaign-worker` subcommand) supplies
 /// `resolve` so this crate stays independent of how substrates are
@@ -749,7 +719,6 @@ pub fn worker_main(spec_path: &Path, resolve: &SubstrateResolver) -> Result<(), 
             },
             seed: Wire::take(&mut r)?,
             token: Wire::take(&mut r)?,
-            cache: Wire::take(&mut r)?,
             faults: Wire::take(&mut r)?,
             trace_opts: Wire::take(&mut r)?,
             chaos_abort: Wire::take(&mut r)?,
@@ -762,14 +731,7 @@ pub fn worker_main(spec_path: &Path, resolve: &SubstrateResolver) -> Result<(), 
         // status, exactly what a crashed worker looks like.
         std::process::abort();
     }
-    let ws = resolve(
-        &header.token,
-        header
-            .cache
-            .as_ref()
-            .map(|(p, c)| (Path::new(p.as_str()), *c)),
-    )
-    .map_err(DistError::Substrate)?;
+    let ws = resolve(&header.token).map_err(DistError::Substrate)?;
     if ws.vps.len() != header.n_vps {
         return Err(DistError::Substrate(format!(
             "substrate has {} vantage points, spec expects {}",
@@ -895,7 +857,6 @@ where
     VERSION.put(&mut out);
     header.tag.put(&mut out);
     header.worker.put(&mut out);
-    ws.cache_checksum.put(&mut out);
     results.put(&mut out);
     probes.put(&mut out);
     stats.put(&mut out);
@@ -1000,7 +961,6 @@ mod tests {
         VERSION.put(&mut bytes);
         2u8.put(&mut bytes);
         1usize.put(&mut bytes);
-        Some(0xABCDu64).put(&mut bytes);
         results.put(&mut bytes);
         probes.put(&mut bytes);
         stats.put(&mut bytes);
@@ -1009,7 +969,6 @@ mod tests {
 
         let file = decode_shard::<(usize, u64)>(&bytes, 2, 1, 3).expect("valid shard");
         assert_eq!(file.worker, 1);
-        assert_eq!(file.cache_checksum, Some(0xABCD));
         assert_eq!(file.probes, probes);
         assert_eq!(file.results[0], Ok(vec![(0, 7), (2, 9)]));
         assert!(file.results[1].is_err());
@@ -1034,10 +993,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad.spec");
         std::fs::write(&path, b"not a spec at all, far too short to parse").unwrap();
-        let err = worker_main(&path, &|_, _| {
-            Err("resolver must not be reached".to_string())
-        })
-        .unwrap_err();
+        let err =
+            worker_main(&path, &|_| Err("resolver must not be reached".to_string())).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("WHSP"), "{msg}");
         assert!(msg.contains("substrate token"), "{msg}");

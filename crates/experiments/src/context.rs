@@ -8,7 +8,7 @@ use wormhole_core::{
 use wormhole_lint::Severity;
 use wormhole_net::{Asn, FaultScenario};
 use wormhole_probe::{NullSink, TraceSink};
-use wormhole_topo::{config_checksum, generate, generate_cached, Internet, InternetConfig};
+use wormhole_topo::{generate, Internet, InternetConfig};
 
 /// How big an Internet to run against.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -105,8 +105,7 @@ pub fn faults_from_env() -> FaultScenario {
 }
 
 /// The generator parameters for a scale/seed pair — the one mapping a
-/// distributed master and its workers both resolve substrates (and
-/// substrate-cache checksums) through.
+/// distributed master and its workers both resolve substrates through.
 pub fn internet_config_for(scale: Scale, seed: u64) -> InternetConfig {
     match scale {
         Scale::Quick => InternetConfig::small(seed),
@@ -120,15 +119,13 @@ pub fn internet_config_for(scale: Scale, seed: u64) -> InternetConfig {
 }
 
 /// Resolves a distributed worker's `<scale>:<seed>` substrate token
-/// back to the Internet the master dispatched over — through the
-/// shared on-disk cache when the shard spec carries one. Both
-/// `wormhole-cli campaign-worker` and the bench harness's self-worker
-/// mode route through this one function, so master and workers can
-/// never drift on what a token means.
-pub fn resolve_worker_substrate(
-    token: &str,
-    cache: Option<(&std::path::Path, u64)>,
-) -> Result<WorkerSubstrate, String> {
+/// back to the Internet the master dispatched over, by regenerating it:
+/// generation is deterministic, and the master linted this exact
+/// substrate before dispatching. Both `wormhole-cli campaign-worker`
+/// and the bench harness's self-worker mode route through this one
+/// function, so master and workers can never drift on what a token
+/// means.
+pub fn resolve_worker_substrate(token: &str) -> Result<WorkerSubstrate, String> {
     let (scale_name, seed) = token.split_once(':').ok_or_else(|| {
         format!("substrate token '{token}' (expected '<scale>:<seed>', e.g. 'tenfold:8')")
     })?;
@@ -141,36 +138,12 @@ pub fn resolve_worker_substrate(
     let seed: u64 = seed
         .parse()
         .map_err(|_| format!("bad seed '{seed}' in substrate token '{token}'"))?;
-    let net_cfg = internet_config_for(scale, seed);
-    match cache {
-        Some((path, _expected)) => {
-            // Resolve through the shared cache directory; the computed
-            // checksum goes back in the shard file, where the A312
-            // audit compares it against the master's.
-            let dir = path
-                .parent()
-                .ok_or_else(|| format!("cache path {} has no directory", path.display()))?;
-            let (internet, _status) = generate_cached(&net_cfg, dir)
-                .map_err(|e| format!("substrate cache {}: {e}", path.display()))?;
-            Ok(WorkerSubstrate {
-                net: internet.net,
-                cp: internet.cp,
-                vps: internet.vps,
-                cache_checksum: Some(config_checksum(&net_cfg)),
-            })
-        }
-        None => {
-            // The master linted this exact substrate before
-            // dispatching; regenerating it is deterministic.
-            let internet = generate(&net_cfg);
-            Ok(WorkerSubstrate {
-                net: internet.net,
-                cp: internet.cp,
-                vps: internet.vps,
-                cache_checksum: None,
-            })
-        }
-    }
+    let internet = generate(&internet_config_for(scale, seed));
+    Ok(WorkerSubstrate {
+        net: internet.net,
+        cp: internet.cp,
+        vps: internet.vps,
+    })
 }
 
 /// Generates (and statically checks) the Internet for a scale/seed

@@ -161,7 +161,7 @@ pub struct CampaignAudit {
     /// (TTL spoofing, non-Paris load balancing, egress hiding).
     pub deceptive_plan: bool,
     /// Cross-process shard accounting of a distributed run; `None`
-    /// disables A311/A312 (the campaign ran in one process).
+    /// disables A311 (the campaign ran in one process).
     pub dist: Option<DistAudit>,
 }
 
@@ -174,12 +174,6 @@ pub struct DistAudit {
     pub workers: usize,
     /// One entry per dispatched phase, in phase order.
     pub phases: Vec<DistPhaseAudit>,
-    /// The config checksum of the substrate cache the master used, if
-    /// any.
-    pub master_cache: Option<u64>,
-    /// Distinct `(worker, checksum)` cache observations reported back
-    /// in shard files.
-    pub worker_cache: Vec<(usize, u64)>,
 }
 
 /// Shard accounting for one dispatched phase of a distributed run.
@@ -569,47 +563,6 @@ pub fn distributed_accounting(a: &CampaignAudit, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// A312: distributed substrate-cache agreement. Master and workers must
-/// resolve the same substrate; a worker reporting a different cache
-/// config checksum simulated a *different internet* and its shard data
-/// silently poisons the merge (error). Workers using a cache the master
-/// did not is a provenance gap (warn).
-pub fn distributed_cache_agreement(a: &CampaignAudit, out: &mut Vec<Diagnostic>) {
-    let Some(d) = &a.dist else { return };
-    match d.master_cache {
-        Some(master) => {
-            for &(w, c) in &d.worker_cache {
-                if c != master {
-                    out.push(Diagnostic::new(
-                        "A312",
-                        Severity::Error,
-                        Location::Network,
-                        format!(
-                            "worker #{w} resolved substrate cache checksum {c:#018x} \
-                             but the master used {master:#018x}"
-                        ),
-                        "pass the master's cache path and checksum through the shard spec",
-                    ));
-                }
-            }
-        }
-        None => {
-            if !d.worker_cache.is_empty() {
-                out.push(Diagnostic::new(
-                    "A312",
-                    Severity::Warn,
-                    Location::Network,
-                    format!(
-                        "{} worker(s) resolved a substrate cache but the master built from scratch",
-                        d.worker_cache.len()
-                    ),
-                    "cache on both sides or neither; mixed provenance defeats the checksum audit",
-                ));
-            }
-        }
-    }
-}
-
 /// A401: a trace spent more probes than the per-trace budget allows —
 /// the budget enforcement is broken and a hostile path can starve the
 /// campaign.
@@ -862,7 +815,10 @@ pub fn unscreened_adversarial_run(a: &CampaignAudit, out: &mut Vec<Diagnostic>) 
     }
 }
 
-/// Runs every audit rule.
+/// Runs every audit rule and normalizes the findings, like every
+/// `check_*` entry point: the campaign's signature table is collected
+/// from a hash map, so rules walking it would otherwise report in a
+/// different order on every run.
 pub fn audit(net: &Network, a: &CampaignAudit) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     signature_taxonomy(a, &mut out);
@@ -876,7 +832,6 @@ pub fn audit(net: &Network, a: &CampaignAudit) -> Vec<Diagnostic> {
     method_claim_consistency(a, &mut out);
     incremental_aggregation(a, &mut out);
     distributed_accounting(a, &mut out);
-    distributed_cache_agreement(a, &mut out);
     probe_budget_overrun(a, &mut out);
     partial_revelation_accounting(a, &mut out);
     degraded_shard_consistency(a, &mut out);
@@ -886,5 +841,6 @@ pub fn audit(net: &Network, a: &CampaignAudit) -> Vec<Diagnostic> {
     star_burst_anomaly(a, &mut out);
     veracity_conservation(a, &mut out);
     unscreened_adversarial_run(a, &mut out);
+    crate::normalize(&mut out);
     out
 }

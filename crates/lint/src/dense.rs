@@ -8,7 +8,10 @@
 //! logical model it encodes — re-derived through the same oracles
 //! [`ControlPlane::build`] itself uses ([`logical_fib`], [`te_program`],
 //! [`ldp_lfib_hops`], `LdpBindings::compute`) — and against its own
-//! structural invariants.
+//! structural invariants. The external-route class tables (D513) are
+//! checked against an independent per-pair oracle instead
+//! ([`wormhole_net::hot_potato_route`]), since the build computes them
+//! per next-hop class rather than per pair.
 //!
 //! The checks are *staged*: a malformed CSR shape (D501/D503/D505/D506/
 //! D508 structure, D509 trie) gates the content comparison that would
@@ -20,8 +23,9 @@ use crate::diag::{Diagnostic, Location, Severity};
 use std::collections::{HashMap, HashSet};
 use wormhole_net::igp::{edge_metric, INF};
 use wormhole_net::{
-    ldp_lfib_hops, logical_fib, te_program, Addr, ControlPlane, Label, LabelValue, LdpBindings,
-    LfibEntry, Network, RouterId, OWNER_PAGE_SIZE,
+    hot_potato_candidates, hot_potato_choice, ldp_lfib_hops, logical_fib, te_program, Addr,
+    ControlPlane, ExtRoute, Label, LabelValue, LdpBindings, LfibEntry, Network, RouterId,
+    OWNER_PAGE_SIZE,
 };
 
 /// One router's logical FIB: per prefix slot, the deduplicated
@@ -860,6 +864,126 @@ fn owner_index(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) {
     }
 }
 
+/// D513: the external-route class tables. Shape first: the class
+/// matrix is `num_ases²`, every class id is below its source AS's row
+/// width, and the router rows tile the route pool with each row exactly
+/// its AS's width. Only a well-shaped table is content-checked (and
+/// only over well-formed IGP views): every `(router, destination AS)`
+/// route against [`wormhole_net::hot_potato_route`].
+///
+/// The oracle reads the destination only through the source AS's BGP
+/// next-hop set, so it is evaluated at the first destination of each
+/// `(source AS, next-hop set)` — in its two halves, as
+/// `hot_potato_route` composes them: [`hot_potato_candidates`] once,
+/// then [`hot_potato_choice`] per member (calling the composed oracle
+/// per member would rescan the AS's borders for each one, about a
+/// third of a second at thousandfold scale). Every other destination
+/// with the same set must then resolve to the same route for every
+/// member. Routes are read through the raw tables with the router's AS
+/// taken from the network, so a corrupted `router_as_idx` stays D510's
+/// finding.
+fn ext_routes(net: &Network, cp: &ControlPlane, igp_ok: bool, out: &mut Vec<Diagnostic>) {
+    let v = cp.dense_view();
+    let as_list = net.as_list();
+    let n_as = as_list.len();
+    if v.ext_class.len() != n_as * n_as || v.ext_width.len() != n_as {
+        out.push(err(
+            "D513",
+            Location::Network,
+            format!(
+                "{} class ids and {} row widths for {n_as} ASes (want {} and {n_as})",
+                v.ext_class.len(),
+                v.ext_width.len(),
+                n_as * n_as
+            ),
+            "rebuild the control plane; the class tables lost or gained rows",
+        ));
+        return;
+    }
+    let mut ok = true;
+    for (s, &asn) in as_list.iter().enumerate() {
+        let width = v.ext_width[s];
+        let row = &v.ext_class[s * n_as..(s + 1) * n_as];
+        if let Some(d) = row.iter().position(|&c| c >= width) {
+            out.push(err(
+                "D513",
+                Location::Network,
+                format!(
+                    "{asn} → {}: class {} is beyond the row width {width}",
+                    as_list[d], row[d]
+                ),
+                "a class id past the row reads the next router's routes",
+            ));
+            ok = false;
+        }
+    }
+    let n = net.num_routers();
+    if !check_csr_offsets("D513", "ext_row", v.ext_row, n, v.ext_pool.len(), out) {
+        return;
+    }
+    for r in net.routers() {
+        let got = v.ext_row[r.id.index() + 1] - v.ext_row[r.id.index()];
+        let want = net.as_index(r.asn).map_or(0, |s| u32::from(v.ext_width[s]));
+        if got != want {
+            out.push(err(
+                "D513",
+                Location::Router(r.name.clone()),
+                format!("external-route row holds {got} routes, its AS has {want} classes"),
+                "every router's row carries one route per class of its AS",
+            ));
+            ok = false;
+        }
+    }
+    if !ok || !igp_ok {
+        return;
+    }
+    let route = |r: RouterId, s: usize, d: usize| {
+        v.ext_pool[v.ext_row[r.index()] as usize + usize::from(v.ext_class[s * n_as + d])]
+    };
+    let mut report = |r: RouterId, d: usize, got: ExtRoute, want: ExtRoute| {
+        out.push(err(
+            "D513",
+            Location::Router(net.router(r).name.clone()),
+            format!(
+                "external route towards {} is {got:?}, the hot-potato oracle says {want:?}",
+                as_list[d]
+            ),
+            "inter-AS probes would leave through the wrong border",
+        ));
+    };
+    let mut rep = vec![usize::MAX; cp.bgp.num_sets()];
+    for (s, &asn) in as_list.iter().enumerate() {
+        let members = net.as_members(asn);
+        let view = &cp.igp[s];
+        rep.fill(usize::MAX);
+        for d in 0..n_as {
+            let set = cp.bgp.set_id(s, d) as usize;
+            if d == s || set == 0 {
+                for &r in members {
+                    if route(r, s, d) != ExtRoute::Unreachable {
+                        report(r, d, route(r, s, d), ExtRoute::Unreachable);
+                    }
+                }
+            } else if rep[set] == usize::MAX {
+                rep[set] = d;
+                let candidates = hot_potato_candidates(net, asn, cp.bgp.set(set as u32));
+                for &r in members {
+                    let want = hot_potato_choice(view, r, &candidates);
+                    if route(r, s, d) != want {
+                        report(r, d, route(r, s, d), want);
+                    }
+                }
+            } else if v.ext_class[s * n_as + d] != v.ext_class[s * n_as + rep[set]] {
+                for &r in members {
+                    if route(r, s, d) != route(r, s, rep[set]) {
+                        report(r, d, route(r, s, d), route(r, s, rep[set]));
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Runs every `D5xx` rule over a built control plane. Shape rules run
 /// unconditionally; content rules are gated on the shapes they read
 /// through, so each corruption is reported by the rule that owns it.
@@ -887,5 +1011,6 @@ pub fn verify_dense(net: &Network, cp: &ControlPlane) -> Vec<Diagnostic> {
     dst_resolution(net, cp, &trie_ok, &mut out);
     owner_hash(net, cp, &trie_ok, &mut out);
     owner_index(net, cp, &mut out);
+    ext_routes(net, cp, igp_ok, &mut out);
     out
 }

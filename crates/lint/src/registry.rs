@@ -340,17 +340,6 @@ pub static RULES: &[RuleInfo] = &[
                       the same phase was swallowed silently (warn).",
     },
     RuleInfo {
-        code: "A312",
-        family: Family::Audit,
-        severity: Severity::Error,
-        summary: "distributed substrate-cache checksum disagreement",
-        explanation: "Master and workers must resolve the same simulated internet. A worker \
-                      reporting a different substrate-cache config checksum rebuilt a \
-                      different topology, so its shard silently poisons the merge; workers \
-                      caching while the master built from scratch is a provenance gap \
-                      (warn).",
-    },
-    RuleInfo {
         code: "A401",
         family: Family::Robustness,
         severity: Severity::Error,
@@ -512,6 +501,20 @@ pub static RULES: &[RuleInfo] = &[
                       address resolves to its holder and every populated entry names a \
                       holder. Checked against the routers directly, never the owner hash, \
                       so D511 and D512 corruptions each fire exactly their own rule.",
+    },
+    RuleInfo {
+        code: "D513",
+        family: Family::Dense,
+        severity: Severity::Error,
+        summary: "external-route class tables malformed or disagree with the hot-potato oracle",
+        explanation: "External routes are stored once per (source AS, best next-hop set) \
+                      class: a u16 class id per AS pair and one row per router with one \
+                      route per class of its AS. Every class id must be below its AS's row \
+                      width and the router rows must tile the route pool exactly; then \
+                      every ext_route must equal hot_potato_route, the per-pair oracle \
+                      that re-derives the BGP next-hop set, the egress candidates and the \
+                      hot-potato choice from scratch. A wrong entry sends inter-AS probes \
+                      out of the wrong border, silently reshaping every trace through it.",
     },
     RuleInfo {
         code: "V601",

@@ -8,8 +8,8 @@
 //! coverage test proves every registered D5xx rule is fired by at
 //! least one class.
 //!
-//! A thirteenth class corrupts the campaign-audit snapshot instead of
-//! the dense plane: the incremental-aggregation accounting that `A310`
+//! One more class corrupts the campaign-audit snapshot instead of the
+//! dense plane: the incremental-aggregation accounting that `A310`
 //! guards ([`audit_class`]).
 //!
 //! Six further classes ([`v6_classes`]) corrupt the revelation-veracity
@@ -19,7 +19,8 @@
 use std::collections::BTreeSet;
 use wormhole_lint as lint;
 use wormhole_net::{
-    Addr, ControlPlane, Label, LabelValue, LfibEntry, LfibHop, Network, PoppingMode, RouterId,
+    Addr, ControlPlane, ExtRoute, Label, LabelValue, LfibEntry, LfibHop, Network, PoppingMode,
+    RouterId,
 };
 use wormhole_topo::{gns3_fig2, gns3_fig2_te, Fig2Config};
 
@@ -241,6 +242,27 @@ fn classes() -> Vec<Class> {
                 cp.poison_owner_index(victim, wrong);
             },
         },
+        Class {
+            name: "misroute-ext-class",
+            rule: "D513",
+            build: ldp_plane,
+            corrupt: |_, cp| {
+                // A hot-potato route now leaving through another border:
+                // the class tables keep their shape, only the content
+                // disagrees with the oracle.
+                let pool = cp.ext_pool_mut();
+                let i = pool
+                    .iter()
+                    .position(|r| matches!(r, ExtRoute::ViaEgress { .. }))
+                    .expect("some router reaches a foreign AS through an egress border");
+                let ExtRoute::ViaEgress { egress } = pool[i] else {
+                    unreachable!()
+                };
+                pool[i] = ExtRoute::ViaEgress {
+                    egress: RouterId(egress.0 + 1),
+                };
+            },
+        },
     ]
 }
 
@@ -285,7 +307,7 @@ fn every_dense_rule_fired_by_a_corruption_class() {
     }
 }
 
-/// The 13th corruption class. It lives on the campaign-audit snapshot
+/// The audit corruption class. It lives on the campaign-audit snapshot
 /// rather than a `(net, cp)` pair, so it gets its own fixture: a
 /// consistent incremental-aggregation transcript whose cumulative link
 /// counter is then shrunk — the one thing an add-only builder can never
@@ -344,8 +366,8 @@ fn audit_corruption_caught_by_exactly_the_intended_rule() {
     );
     let info = lint::rule(class.rule).expect("class rule registered");
     assert_eq!(info.family, lint::Family::Audit, "{}", class.name);
-    // 12 dense classes + this one: the 13-class contract.
-    assert_eq!(classes().len() + 1, 13);
+    // 13 dense classes + this one.
+    assert_eq!(classes().len() + 1, 14);
 }
 
 /// A clean screened-campaign snapshot the V6xx classes corrupt: one
@@ -466,7 +488,7 @@ fn veracity_corruption_caught_by_exactly_the_intended_rule() {
 }
 
 /// Coverage: every registered V6xx rule is exercised by exactly one
-/// corruption class, bringing the suite to 19 classes in total.
+/// corruption class, bringing the suite to 20 classes in total.
 #[test]
 fn every_veracity_rule_fired_by_a_corruption_class() {
     let covered: BTreeSet<&str> = v6_classes().iter().map(|c| c.rule).collect();
@@ -480,7 +502,7 @@ fn every_veracity_rule_fired_by_a_corruption_class() {
         let info = lint::rule(c.rule).expect("class rule registered");
         assert_eq!(info.family, lint::Family::Veracity, "{}", c.name);
     }
-    assert_eq!(classes().len() + 1 + v6_classes().len(), 19);
+    assert_eq!(classes().len() + 1 + v6_classes().len(), 20);
 }
 
 /// Corrupted planes also fail the combined `check_plane` gate — the

@@ -11,10 +11,6 @@ use crate::ids::Asn;
 use crate::net::{Network, RelKind};
 use std::collections::{BinaryHeap, HashMap};
 
-/// One destination's column of the routing table: each AS's selected
-/// `(class, AS-path length)`, when reachable.
-pub type RouteColumn = Vec<Option<(RouteClass, u32)>>;
-
 /// Preference class of an AS-level route, lower is better
 /// (customer > peer > provider in operator revenue terms).
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -27,16 +23,26 @@ pub enum RouteClass {
     Provider = 2,
 }
 
-/// The AS-level routing table: for every destination AS, each AS's set
-/// of equally-best next-hop ASes.
+/// The AS-level routing table: for every (source, destination) AS
+/// pair, the set of equally-best next-hop ASes.
+///
+/// The sets are interned: a thousand-AS Internet has over a million AS
+/// pairs but only about a thousand distinct next-hop sets, so the table
+/// is one dense matrix of set ids over one flat pool of sorted sets
+/// instead of a heap allocation per pair.
 #[derive(Debug, Clone)]
 pub struct Bgp {
-    /// `next_as[dst][src]`: dense AS indices of the best next-hop ASes
-    /// from `src` towards `dst` (empty ⇒ unreachable; `src == dst` ⇒
-    /// empty by convention).
-    pub next_as: Vec<Vec<Vec<usize>>>,
-    /// `route[dst][src]`: the selected route's (class, AS-path length).
-    pub route: Vec<RouteColumn>,
+    /// Number of ASes: the side of [`Self::set_of`].
+    n: usize,
+    /// `set_of[src * n + dst]`: the id of the next-hop set from `src`
+    /// towards `dst`. Set 0 is the empty set (unreachable, or
+    /// `src == dst`).
+    set_of: Vec<u32>,
+    /// CSR offsets: set `k` is `set_pool[set_base[k]..set_base[k + 1]]`.
+    set_base: Vec<u32>,
+    /// Concatenated next-hop sets, each sorted ascending (dense AS
+    /// indices).
+    set_pool: Vec<u32>,
 }
 
 /// Neighbor view used during route computation.
@@ -89,36 +95,40 @@ fn build_adj(net: &Network) -> Result<AsAdj, NetError> {
     Ok(AsAdj { neighbors })
 }
 
-impl Bgp {
-    /// Computes valley-free best routes for every (destination, source)
-    /// AS pair.
-    pub fn compute(net: &Network) -> Result<Bgp, NetError> {
-        let adj = build_adj(net)?;
-        let n = net.as_list().len();
-        let mut next_as = Vec::with_capacity(n);
-        let mut route = Vec::with_capacity(n);
-        for dst in 0..n {
-            let (nexts, routes) = Self::single_dest(&adj, n, dst);
-            next_as.push(nexts);
-            route.push(routes);
+/// Reusable buffers of the per-destination Dijkstra, so computing all
+/// destinations allocates once rather than once per AS pair.
+struct DestScratch {
+    best: Vec<Option<(RouteClass, u32)>>,
+    nexts: Vec<Vec<usize>>,
+    heap: BinaryHeap<std::cmp::Reverse<(RouteClass, u32, usize)>>,
+}
+
+impl DestScratch {
+    fn new(n: usize) -> DestScratch {
+        DestScratch {
+            best: vec![None; n],
+            nexts: vec![Vec::new(); n],
+            heap: BinaryHeap::new(),
         }
-        Ok(Bgp { next_as, route })
     }
 
-    /// Dijkstra over the `(class, hops)` lattice for one destination.
+    /// Dijkstra over the `(class, hops)` lattice for one destination,
+    /// leaving every AS's equally-best next hops in `nexts`.
     ///
     /// An AS `x` exports its route to neighbor `y` only when `y` is its
     /// customer, or when `x`'s own route is customer-learned / originated
     /// — the classic valley-free export rule.
-    fn single_dest(adj: &AsAdj, n: usize, dst: usize) -> (Vec<Vec<usize>>, RouteColumn) {
+    fn run(&mut self, adj: &AsAdj, dst: usize) {
         use std::cmp::Reverse;
-        let mut best: Vec<Option<(RouteClass, u32)>> = vec![None; n];
-        let mut nexts: Vec<Vec<usize>> = vec![Vec::new(); n];
-        best[dst] = Some((RouteClass::Customer, 0));
-        let mut heap = BinaryHeap::new();
-        heap.push(Reverse((RouteClass::Customer, 0u32, dst)));
-        while let Some(Reverse((class, hops, x))) = heap.pop() {
-            if best[x] != Some((class, hops)) {
+        self.best.fill(None);
+        for hops in &mut self.nexts {
+            hops.clear();
+        }
+        self.heap.clear();
+        self.best[dst] = Some((RouteClass::Customer, 0));
+        self.heap.push(Reverse((RouteClass::Customer, 0u32, dst)));
+        while let Some(Reverse((class, hops, x))) = self.heap.pop() {
+            if self.best[x] != Some((class, hops)) {
                 continue; // superseded
             }
             for &(y, class_at_y) in &adj.neighbors[x] {
@@ -130,33 +140,123 @@ impl Bgp {
                     continue;
                 }
                 let cand = (class_at_y, hops + 1);
-                match best[y] {
+                match self.best[y] {
                     Some(cur) if cur < cand => {}
                     Some(cur) if cur == cand => {
-                        if !nexts[y].contains(&x) {
-                            nexts[y].push(x);
+                        if !self.nexts[y].contains(&x) {
+                            self.nexts[y].push(x);
                         }
                     }
                     _ => {
-                        best[y] = Some(cand);
-                        nexts[y] = vec![x];
-                        heap.push(Reverse((cand.0, cand.1, y)));
+                        self.best[y] = Some(cand);
+                        self.nexts[y].clear();
+                        self.nexts[y].push(x);
+                        self.heap.push(Reverse((cand.0, cand.1, y)));
                     }
                 }
             }
         }
-        (nexts, best)
+    }
+}
+
+impl Bgp {
+    /// Computes valley-free best routes for every (source, destination)
+    /// AS pair, interning each distinct next-hop set once. Set ids are
+    /// assigned in order of first appearance (destination-major), so
+    /// the table is a pure function of the network.
+    pub fn compute(net: &Network) -> Result<Bgp, NetError> {
+        let adj = build_adj(net)?;
+        let n = net.as_list().len();
+        let mut bgp = Bgp {
+            n,
+            set_of: vec![0; n * n],
+            set_base: vec![0, 0],
+            set_pool: Vec::new(),
+        };
+        // Singleton sets — the vast majority — intern through a direct
+        // table; larger sets through a map keyed by the sorted set.
+        let mut singleton = vec![0u32; n];
+        let mut multi: HashMap<Vec<u32>, u32> = HashMap::new();
+        let mut key: Vec<u32> = Vec::new();
+        let mut scratch = DestScratch::new(n);
+        for dst in 0..n {
+            scratch.run(&adj, dst);
+            for (src, hops) in scratch.nexts.iter().enumerate() {
+                let id = match hops.as_slice() {
+                    [] => continue,
+                    &[x] => {
+                        if singleton[x] == 0 {
+                            singleton[x] = bgp.push_set(&[x as u32]);
+                        }
+                        singleton[x]
+                    }
+                    many => {
+                        key.clear();
+                        key.extend(many.iter().map(|&x| x as u32));
+                        key.sort_unstable();
+                        match multi.get(&key) {
+                            Some(&id) => id,
+                            None => {
+                                let id = bgp.push_set(&key);
+                                multi.insert(key.clone(), id);
+                                id
+                            }
+                        }
+                    }
+                };
+                bgp.set_of[src * n + dst] = id;
+            }
+        }
+        Ok(bgp)
+    }
+
+    /// Appends one sorted set to the pool, returning its id.
+    fn push_set(&mut self, set: &[u32]) -> u32 {
+        self.set_pool.extend_from_slice(set);
+        self.set_base.push(self.set_pool.len() as u32);
+        (self.set_base.len() - 2) as u32
+    }
+
+    /// The equally-best next hops of every AS towards `dst`, computed
+    /// from scratch for that one destination: `sets[src]` in discovery
+    /// order (empty ⇒ unreachable or `src == dst`). The reference the
+    /// interned table is checked against.
+    pub fn single_dest(net: &Network, dst: usize) -> Result<Vec<Vec<usize>>, NetError> {
+        let adj = build_adj(net)?;
+        let mut scratch = DestScratch::new(net.as_list().len());
+        scratch.run(&adj, dst);
+        Ok(scratch.nexts)
+    }
+
+    /// The id of the next-hop set from `src` towards `dst` (dense AS
+    /// indices; 0 is the empty set).
+    #[inline]
+    pub fn set_id(&self, src: usize, dst: usize) -> u32 {
+        self.set_of[src * self.n + dst]
+    }
+
+    /// The next-hop set with id `id`: dense AS indices, ascending.
+    #[inline]
+    pub fn set(&self, id: u32) -> &[u32] {
+        let lo = self.set_base[id as usize] as usize;
+        let hi = self.set_base[id as usize + 1] as usize;
+        &self.set_pool[lo..hi]
+    }
+
+    /// Number of distinct next-hop sets, the empty set included.
+    pub fn num_sets(&self) -> usize {
+        self.set_base.len() - 1
     }
 
     /// The best next-hop AS indices from `src` towards `dst` (dense
-    /// indices).
-    pub fn next_hops(&self, dst: usize, src: usize) -> &[usize] {
-        &self.next_as[dst][src]
+    /// indices, ascending).
+    pub fn next_hops(&self, dst: usize, src: usize) -> &[u32] {
+        self.set(self.set_id(src, dst))
     }
 
     /// Whether `src` has any route to `dst`.
     pub fn reachable(&self, dst: usize, src: usize) -> bool {
-        src == dst || !self.next_as[dst][src].is_empty()
+        src == dst || self.set_id(src, dst) != 0
     }
 
     /// Convenience: resolves through [`Network::as_index`].
@@ -164,9 +264,9 @@ impl Bgp {
         let (Some(d), Some(s)) = (net.as_index(dst), net.as_index(src)) else {
             return Vec::new();
         };
-        self.next_as[d][s]
+        self.next_hops(d, s)
             .iter()
-            .map(|&i| net.as_list()[i])
+            .map(|&i| net.as_list()[i as usize])
             .collect()
     }
 }

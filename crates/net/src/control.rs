@@ -7,8 +7,10 @@
 //! 2. per-router intra-AS FIBs (ECMP next-hop sets towards the nearest
 //!    owner of each internal prefix), flattened into one shared pool
 //!    with per-router offset tables;
-//! 3. per-router external routes: hot-potato egress selection over the
-//!    valley-free AS-level routes ([`Bgp`]);
+//! 3. external routes: hot-potato egress selection over the
+//!    valley-free AS-level routes ([`Bgp`]), computed once per
+//!    `(source AS, next-hop set)` class inside the per-AS phase and
+//!    stored as a per-AS-pair class id plus one short row per router;
 //! 4. LDP bindings ([`LdpBindings`]) and per-router LFIBs implementing
 //!    swap / PHP-pop / explicit-null-swap, stored as dense label
 //!    windows (labels are small integers we allocate ourselves) with a
@@ -43,28 +45,6 @@ pub enum ExtRoute {
         egress: RouterId,
     },
 }
-
-/// Why [`ControlPlane::from_cache_payload`] rejected a payload.
-#[derive(Debug)]
-pub enum CachePayloadError {
-    /// The payload bytes did not decode, or the decoded tables'
-    /// dimensions do not match the network they were paired with.
-    Decode(crate::wire::WireError),
-    /// The plane could not be assembled over this network (the same
-    /// errors a cold [`ControlPlane::build_with_jobs`] can hit).
-    Assemble(NetError),
-}
-
-impl std::fmt::Display for CachePayloadError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CachePayloadError::Decode(e) => write!(f, "cache payload: {e}"),
-            CachePayloadError::Assemble(e) => write!(f, "cache payload assembly: {e:?}"),
-        }
-    }
-}
-
-impl std::error::Error for CachePayloadError {}
 
 /// What an LFIB entry does with the top label.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -272,13 +252,21 @@ pub struct ControlPlane {
     fib_spans: Vec<(u32, u32)>,
     /// Concatenated ECMP next-hop sets `(iface index, next router)`.
     fib_pool: Vec<(u32, RouterId)>,
-    /// External forwarding, flattened row-major:
-    /// `ext[router.index() * ext_stride + dst_as_index]`. One flat
-    /// array instead of a `Vec<Vec<_>>` keeps the per-hop inter-AS
-    /// lookup a single indexed load with no pointer chase.
-    ext: Vec<ExtRoute>,
-    /// Row stride of [`Self::ext`]: the number of ASes.
+    /// External-route class of every AS pair:
+    /// `ext_class[src_as * ext_stride + dst_as]` indexes the row of
+    /// every member of `src_as`. Class 0 is unreachable (and the
+    /// `src_as == dst_as` diagonal).
+    ext_class: Vec<u16>,
+    /// Row stride of [`Self::ext_class`]: the number of ASes.
     ext_stride: usize,
+    /// Classes per AS: the row width of each of its members.
+    ext_width: Vec<u16>,
+    /// Router → base index of its row in [`Self::ext_pool`]; length
+    /// `num_routers + 1`.
+    ext_row: Vec<u32>,
+    /// Concatenated per-router rows: one route per class of the
+    /// router's AS.
+    ext_pool: Vec<ExtRoute>,
     /// Per-router dense LFIBs.
     lfib: Vec<RouterLfib>,
     /// Router → span of [`Self::te_routes`] headed there; length
@@ -324,14 +312,190 @@ pub struct ControlPlane {
     walk_iface: Vec<WalkIface>,
 }
 
-/// Phase-1 output for one AS: its IGP view and prefix table.
-fn compute_as(net: &Network, asn: Asn) -> Result<(AsIgp, AsPrefixes), NetError> {
+/// One source AS's external routes, grouped by next-hop class.
+struct AsExt {
+    /// `class[dst_as]`: the class of every destination AS.
+    class: Vec<u16>,
+    /// Number of classes, class 0 (unreachable) included.
+    width: u16,
+    /// Class-major routes: class `c`'s route for the member with local
+    /// index `i` is `routes[c * members + i]`.
+    routes: Vec<ExtRoute>,
+}
+
+/// Phase-1 output for one AS: its IGP view, prefix table and external
+/// routes.
+type AsPhase = (AsIgp, AsPrefixes, AsExt);
+
+fn compute_as(net: &Network, bgp: &Bgp, as_idx: usize) -> Result<AsPhase, NetError> {
+    let asn = net.as_list()[as_idx];
     let view = AsIgp::compute(net, asn);
     if let Some(unreachable) = view.find_unreachable() {
         return Err(NetError::DisconnectedAs { asn, unreachable });
     }
     let prefixes = AsPrefixes::build(net, asn);
-    Ok((view, prefixes))
+    let ext = class_routes(net, &view, bgp, as_idx)?;
+    Ok((view, prefixes, ext))
+}
+
+/// The external routes of source AS `src_as`, computed once per class:
+/// every destination AS with the same best next-hop set shares its
+/// egress candidates and therefore every member's hot-potato choice.
+/// The result equals [`hot_potato_route`] for every `(member,
+/// destination)` pair (the D513 rule checks it).
+fn class_routes(net: &Network, view: &AsIgp, bgp: &Bgp, src_as: usize) -> Result<AsExt, NetError> {
+    let asn = net.as_list()[src_as];
+    let members = &view.members;
+    // The AS's eBGP interfaces, collected once with their peer AS:
+    // `(border local index, border, iface, peer AS index)` in
+    // `(border, iface)` order.
+    let mut ebgp: Vec<(usize, RouterId, u32, u32)> = Vec::new();
+    for (local, &b) in members.iter().enumerate() {
+        for (idx, iface) in net.router(b).ifaces.iter().enumerate() {
+            if !net.link(iface.link).inter_as {
+                continue;
+            }
+            let peer_as = net.router(iface.peer).asn;
+            let peer_idx = net
+                .as_index(peer_as)
+                .ok_or(NetError::UnregisteredAs { asn: peer_as })?;
+            ebgp.push((local, b, idx as u32, peer_idx as u32));
+        }
+    }
+    ebgp.sort_by_key(|&(_, b, i, _)| (b, i));
+
+    let mut class = vec![0u16; net.as_list().len()];
+    let mut routes = vec![ExtRoute::Unreachable; members.len()];
+    let mut width: u16 = 1;
+    let mut class_of_set = vec![u16::MAX; bgp.num_sets()];
+    let mut candidates: Vec<(usize, RouterId, u32)> = Vec::new();
+    for (dst_as, slot) in class.iter_mut().enumerate() {
+        if dst_as == src_as {
+            continue;
+        }
+        let set = bgp.set_id(src_as, dst_as) as usize;
+        if set == 0 {
+            continue;
+        }
+        if class_of_set[set] != u16::MAX {
+            *slot = class_of_set[set];
+            continue;
+        }
+        let best = bgp.set(set as u32);
+        candidates.clear();
+        candidates.extend(
+            ebgp.iter()
+                .filter(|e| best.contains(&e.3))
+                .map(|&(local, b, iface, _)| (local, b, iface)),
+        );
+        let c = if candidates.is_empty() {
+            0 // relationship without a physical link
+        } else {
+            let c = width;
+            width = width
+                .checked_add(1)
+                .ok_or(NetError::TooManyRouteClasses { asn })?;
+            for (local, &rid) in members.iter().enumerate() {
+                let route = match candidates.iter().find(|&&(_, b, _)| b == rid) {
+                    Some(&(_, _, iface)) => ExtRoute::Direct { iface },
+                    None => {
+                        // Nearest candidate border (hot potato).
+                        let (d, egress) = candidates
+                            .iter()
+                            .map(|&(lb, b, _)| (view.dist[local][lb], b))
+                            .min()
+                            .expect("candidates is non-empty");
+                        if d < crate::igp::INF {
+                            ExtRoute::ViaEgress { egress }
+                        } else {
+                            ExtRoute::Unreachable
+                        }
+                    }
+                };
+                routes.push(route);
+            }
+            c
+        };
+        class_of_set[set] = c;
+        *slot = c;
+    }
+    Ok(AsExt {
+        class,
+        width,
+        routes,
+    })
+}
+
+/// The *logical* external route of `router` towards the AS with dense
+/// index `dst_as`, derived for that one pair: the BGP best next-hop
+/// set, the AS's egress candidates towards it, and the hot-potato
+/// choice among them. This is the per-pair loop the class tables of
+/// [`ControlPlane::build`] replace, kept as the oracle the D513
+/// verifier and the equivalence tests check [`ControlPlane::ext_route`]
+/// against — the role [`logical_fib`] plays for the FIB.
+pub fn hot_potato_route(
+    net: &Network,
+    igp: &[AsIgp],
+    bgp: &Bgp,
+    router: RouterId,
+    dst_as: usize,
+) -> ExtRoute {
+    let asn = net.router(router).asn;
+    let Some(src_as) = net.as_index(asn) else {
+        return ExtRoute::Unreachable;
+    };
+    if src_as == dst_as {
+        return ExtRoute::Unreachable;
+    }
+    let best = bgp.next_hops(dst_as, src_as);
+    if best.is_empty() {
+        return ExtRoute::Unreachable;
+    }
+    hot_potato_choice(&igp[src_as], router, &hot_potato_candidates(net, asn, best))
+}
+
+/// Every `(border, eBGP interface)` of `asn` whose peer AS is in `best`
+/// (dense AS indices), sorted: the egress candidates hot-potato routing
+/// chooses among. The destination-dependent half of
+/// [`hot_potato_route`].
+pub fn hot_potato_candidates(net: &Network, asn: Asn, best: &[u32]) -> Vec<(RouterId, u32)> {
+    let mut candidates = Vec::new();
+    for b in net.borders(asn) {
+        for (idx, iface) in net.router(b).ifaces.iter().enumerate() {
+            if !net.link(iface.link).inter_as {
+                continue;
+            }
+            let peer = net.as_index(net.router(iface.peer).asn);
+            if peer.is_some_and(|p| best.contains(&(p as u32))) {
+                candidates.push((b, idx as u32));
+            }
+        }
+    }
+    candidates.sort_unstable();
+    candidates
+}
+
+/// The hot-potato choice of `router` among its AS's egress
+/// `candidates` ([`hot_potato_candidates`]): its own first eBGP
+/// interface when it is a candidate border, else the IGP-nearest
+/// candidate border (lowest router id on ties). The router-dependent
+/// half of [`hot_potato_route`].
+pub fn hot_potato_choice(
+    view: &AsIgp,
+    router: RouterId,
+    candidates: &[(RouterId, u32)],
+) -> ExtRoute {
+    if let Some(&(_, iface)) = candidates.iter().find(|&&(b, _)| b == router) {
+        return ExtRoute::Direct { iface };
+    }
+    match candidates
+        .iter()
+        .map(|&(b, _)| (view.distance(router, b), b))
+        .min()
+    {
+        Some((d, egress)) if d < crate::igp::INF => ExtRoute::ViaEgress { egress },
+        _ => ExtRoute::Unreachable,
+    }
 }
 
 /// The *logical* intra-AS FIB: for every router, the per-slot ECMP
@@ -496,90 +660,32 @@ impl ControlPlane {
     }
 
     /// Computes the full control plane with at most `jobs` worker
-    /// threads for the per-AS IGP/prefix phase (one Dijkstra per AS
-    /// member — the dominant build cost at scale). The result is
+    /// threads for the per-AS phase: IGP (one Dijkstra per AS member),
+    /// prefix table and the AS's external-route classes. The result is
     /// byte-identical at any job count: workers fill disjoint AS-index
     /// slots and the merge walks them in AS order, so the first error
     /// by AS index wins deterministically.
     pub fn build_with_jobs(net: &Network, jobs: usize) -> Result<ControlPlane, NetError> {
         let bgp = Bgp::compute(net)?;
-        ControlPlane::assemble(net, jobs, bgp, None)
-    }
-
-    /// The substrate-cache payload: the two build phases whose cost
-    /// dominates at scale (valley-free BGP and the hot-potato external
-    /// route table), encoded with [`crate::wire`]. Everything else in
-    /// the plane is cheap to recompute from the network, so
-    /// [`ControlPlane::from_cache_payload`] rebuilds it instead of
-    /// trusting more serialized state than necessary.
-    pub fn cache_payload(&self) -> Vec<u8> {
-        use crate::wire::Wire as _;
-        let mut out = Vec::new();
-        self.bgp.put(&mut out);
-        self.ext.put(&mut out);
-        out
-    }
-
-    /// Rebuilds the control plane from a [`ControlPlane::cache_payload`]
-    /// over the *same* network. The cached BGP table and external-route
-    /// table skip the expensive phases; every other table is assembled
-    /// from `net` exactly as [`ControlPlane::build_with_jobs`] would, so
-    /// the result is byte-identical to a cold build. A payload whose
-    /// external-route table does not match the network's dimensions is
-    /// rejected as corrupt (the caller's config checksum should have
-    /// caught the mismatch earlier).
-    pub fn from_cache_payload(
-        net: &Network,
-        jobs: usize,
-        payload: &[u8],
-    ) -> Result<ControlPlane, CachePayloadError> {
-        use crate::wire::{Reader, Wire as _, WireError};
-        let mut r = Reader::new(payload);
-        let bgp = Bgp::take(&mut r).map_err(CachePayloadError::Decode)?;
-        let ext: Vec<ExtRoute> = Vec::take(&mut r).map_err(CachePayloadError::Decode)?;
-        if !r.is_empty() {
-            return Err(CachePayloadError::Decode(WireError::Corrupt(
-                "trailing bytes",
-            )));
-        }
-        let n_as = net.as_list().len();
-        if ext.len() != n_as * net.num_routers() || bgp.next_as.len() != n_as {
-            return Err(CachePayloadError::Decode(WireError::Corrupt(
-                "cached table dimensions do not match the network",
-            )));
-        }
-        ControlPlane::assemble(net, jobs, bgp, Some(ext)).map_err(CachePayloadError::Assemble)
-    }
-
-    /// The shared tail of [`ControlPlane::build_with_jobs`] and
-    /// [`ControlPlane::from_cache_payload`]: everything after BGP.
-    /// `cached_ext` skips the hot-potato external-route loop (the
-    /// dominant single phase at thousandfold scale) when a cache
-    /// supplied the table.
-    fn assemble(
-        net: &Network,
-        jobs: usize,
-        bgp: Bgp,
-        cached_ext: Option<Vec<ExtRoute>>,
-    ) -> Result<ControlPlane, NetError> {
         let as_list = net.as_list();
         let n_as = as_list.len();
         let jobs = jobs.max(1).min(n_as.max(1));
 
-        let mut slots: Vec<Option<Result<(AsIgp, AsPrefixes), NetError>>> = Vec::new();
+        let mut slots: Vec<Option<Result<AsPhase, NetError>>> = Vec::new();
         slots.resize_with(n_as, || None);
         if jobs <= 1 {
             for (i, slot) in slots.iter_mut().enumerate() {
-                *slot = Some(compute_as(net, as_list[i]));
+                *slot = Some(compute_as(net, &bgp, i));
             }
         } else {
             let chunk = n_as.div_ceil(jobs);
+            let bgp = &bgp;
             std::thread::scope(|scope| {
                 for (ci, chunk_slots) in slots.chunks_mut(chunk).enumerate() {
                     let base = ci * chunk;
                     scope.spawn(move || {
                         for (j, slot) in chunk_slots.iter_mut().enumerate() {
-                            *slot = Some(compute_as(net, as_list[base + j]));
+                            *slot = Some(compute_as(net, bgp, base + j));
                         }
                     });
                 }
@@ -587,10 +693,12 @@ impl ControlPlane {
         }
         let mut as_prefixes = Vec::with_capacity(n_as);
         let mut igp = Vec::with_capacity(n_as);
+        let mut exts = Vec::with_capacity(n_as);
         for slot in slots.into_iter().flatten() {
-            let (view, prefixes) = slot?;
+            let (view, prefixes, ext) = slot?;
             igp.push(view);
             as_prefixes.push(prefixes);
+            exts.push(ext);
         }
         let bindings = LdpBindings::compute(net, &as_prefixes);
 
@@ -598,64 +706,30 @@ impl ControlPlane {
         // table that the dense pool below flattens.
         let fib = logical_fib(net, &igp, &as_prefixes);
 
-        // External routes with hot-potato egress selection (or the
-        // cached table, which this loop produced on a previous build).
-        let compute_ext = cached_ext.is_none();
-        let mut ext =
-            cached_ext.unwrap_or_else(|| vec![ExtRoute::Unreachable; n_as * net.num_routers()]);
-        for (src_as, &asn) in as_list.iter().enumerate() {
-            if !compute_ext {
-                break;
-            }
-            let view = &igp[src_as];
-            let borders = net.borders(asn);
-            #[allow(clippy::needless_range_loop)] // dst_as indexes two tables
-            for dst_as in 0..n_as {
-                if dst_as == src_as {
-                    continue;
-                }
-                let best_next = bgp.next_hops(dst_as, src_as);
-                if best_next.is_empty() {
-                    continue;
-                }
-                // Candidate (border, iface) pairs reaching a best next AS.
-                let mut candidates: Vec<(RouterId, u32)> = Vec::new();
-                for &b in &borders {
-                    for (idx, iface) in net.router(b).ifaces.iter().enumerate() {
-                        if !net.link(iface.link).inter_as {
-                            continue;
-                        }
-                        let peer_as = net.router(iface.peer).asn;
-                        let peer_idx = net
-                            .as_index(peer_as)
-                            .ok_or(NetError::UnregisteredAs { asn: peer_as })?;
-                        if best_next.contains(&peer_idx) {
-                            candidates.push((b, idx as u32));
-                        }
-                    }
-                }
-                if candidates.is_empty() {
-                    continue; // relationship without a physical link
-                }
-                candidates.sort_by_key(|&(r, i)| (r, i));
-                for &rid in net.as_members(asn) {
-                    if let Some(&(_, iface)) = candidates.iter().find(|&&(b, _)| b == rid) {
-                        ext[rid.index() * n_as + dst_as] = ExtRoute::Direct { iface };
-                        continue;
-                    }
-                    // Nearest candidate border (hot potato).
-                    let choice = candidates
-                        .iter()
-                        .map(|&(b, _)| (view.distance(rid, b), b))
-                        .min();
-                    if let Some((d, egress)) = choice {
-                        if d < crate::igp::INF {
-                            ext[rid.index() * n_as + dst_as] = ExtRoute::ViaEgress { egress };
-                        }
-                    }
-                }
+        // External-route class tables: the per-AS class ids side by
+        // side, then each router's row (its AS's route for it in every
+        // class) in router order.
+        let mut ext_class = Vec::with_capacity(n_as * n_as);
+        let mut ext_width = Vec::with_capacity(n_as);
+        let mut member_of = vec![(usize::MAX, 0usize); net.num_routers()];
+        for (as_idx, (ext, view)) in exts.iter().zip(&igp).enumerate() {
+            ext_class.extend_from_slice(&ext.class);
+            ext_width.push(ext.width);
+            for (local, &rid) in view.members.iter().enumerate() {
+                member_of[rid.index()] = (as_idx, local);
             }
         }
+        let mut ext_row = Vec::with_capacity(net.num_routers() + 1);
+        let mut ext_pool = Vec::new();
+        for &(as_idx, local) in &member_of {
+            ext_row.push(ext_pool.len() as u32);
+            if let Some(ext) = exts.get(as_idx) {
+                let m = igp[as_idx].members.len();
+                ext_pool.extend((0..usize::from(ext.width)).map(|c| ext.routes[c * m + local]));
+            }
+        }
+        ext_row.push(ext_pool.len() as u32);
+        drop(exts);
 
         // LFIBs: one entry per real incoming label.
         let mut lfib: Vec<RouterLfib> = vec![RouterLfib::default(); net.num_routers()];
@@ -817,8 +891,11 @@ impl ControlPlane {
             fib_base,
             fib_spans,
             fib_pool,
-            ext,
+            ext_class,
             ext_stride: n_as,
+            ext_width,
+            ext_row,
+            ext_pool,
             lfib,
             te_heads,
             te_routes,
@@ -939,7 +1016,22 @@ impl ControlPlane {
     /// `dst_as`.
     #[inline]
     pub fn ext_route(&self, router: RouterId, dst_as: usize) -> ExtRoute {
-        self.ext[router.index() * self.ext_stride + dst_as]
+        self.ext_route_from(router, self.router_as_idx[router.index()], dst_as)
+    }
+
+    /// [`Self::ext_route`] for a caller that already holds `router`'s
+    /// raw AS index ([`Self::router_as_raw`]): the pair's class and the
+    /// router's row base are two independent loads into small tables,
+    /// then one load of the route.
+    #[inline]
+    pub(crate) fn ext_route_from(
+        &self,
+        router: RouterId,
+        router_as: u32,
+        dst_as: usize,
+    ) -> ExtRoute {
+        let class = self.ext_class[router_as as usize * self.ext_stride + dst_as];
+        self.ext_pool[self.ext_row[router.index()] as usize + usize::from(class)]
     }
 
     /// The LFIB entry of `router` for incoming `label`.
@@ -1004,6 +1096,10 @@ impl ControlPlane {
             router_as_idx: &self.router_as_idx,
             owner_page: &self.owner_page,
             owner_pool: &self.owner_pool,
+            ext_class: &self.ext_class,
+            ext_width: &self.ext_width,
+            ext_row: &self.ext_row,
+            ext_pool: &self.ext_pool,
         }
     }
 
@@ -1048,6 +1144,16 @@ pub struct DenseView<'a> {
     pub owner_page: &'a [u32],
     /// Concatenated owner pages (`owner id + 1`, `0` = unowned).
     pub owner_pool: &'a [u32],
+    /// External-route class per AS pair, row-major by source AS
+    /// (`num_ases × num_ases`).
+    pub ext_class: &'a [u16],
+    /// External-route classes per AS: its members' row width.
+    pub ext_width: &'a [u16],
+    /// Router → base of its row in `ext_pool`; length
+    /// `num_routers + 1`.
+    pub ext_row: &'a [u32],
+    /// Concatenated per-router external-route rows.
+    pub ext_pool: &'a [ExtRoute],
 }
 
 /// A read-only borrow of one router's raw LFIB representation (see
@@ -1125,6 +1231,11 @@ impl ControlPlane {
         &mut self.lfib[router.index()].window
     }
 
+    /// Mutable per-router external-route rows.
+    pub fn ext_pool_mut(&mut self) -> &mut Vec<ExtRoute> {
+        &mut self.ext_pool
+    }
+
     /// Rebinds `addr` to `owner` in the dense owner index without
     /// touching the routers that actually hold the address (test-only
     /// mutation hook for the D512 owner-index invariant check).
@@ -1198,47 +1309,6 @@ mod tests {
             assert_eq!(s.asn, p.asn);
             assert_eq!(s.dist, p.dist);
         }
-    }
-
-    #[test]
-    fn cache_payload_round_trips() {
-        let (net, [_, a, _, c, _]) = line_net();
-        let cold = ControlPlane::build(&net).unwrap();
-        let payload = cold.cache_payload();
-        let warm = ControlPlane::from_cache_payload(&net, 1, &payload).unwrap();
-        let as2 = net.as_index(Asn(2)).unwrap();
-        let slot = cold.as_prefixes[as2]
-            .lookup(net.router(c).loopback)
-            .unwrap();
-        assert_eq!(cold.fib_entry(a, slot), warm.fib_entry(a, slot));
-        for r in 0..net.num_routers() as u32 {
-            let rid = RouterId(r);
-            assert_eq!(cold.lfib_size(rid), warm.lfib_size(rid));
-            for dst_as in 0..net.as_list().len() {
-                assert_eq!(cold.ext_route(rid, dst_as), warm.ext_route(rid, dst_as));
-            }
-        }
-        // A second encode of the warm plane is byte-identical.
-        assert_eq!(payload, warm.cache_payload());
-    }
-
-    #[test]
-    fn cache_payload_rejects_corruption() {
-        let (net, _) = line_net();
-        let cp = ControlPlane::build(&net).unwrap();
-        let payload = cp.cache_payload();
-        // Truncation is caught by the decoder.
-        let err = ControlPlane::from_cache_payload(&net, 1, &payload[..payload.len() - 3]);
-        assert!(matches!(err, Err(CachePayloadError::Decode(_))));
-        // A payload built for a different network fails the dimension check.
-        let mut bld = NetworkBuilder::new();
-        let x = bld.add_router("x", Asn(1), RouterConfig::ip_router(Vendor::CiscoIos));
-        let y = bld.add_router("y", Asn(2), RouterConfig::ip_router(Vendor::CiscoIos));
-        bld.link(x, y, LinkOpts::default());
-        bld.as_rel(Asn(1), Asn(2), RelKind::Peer);
-        let other = bld.build().unwrap();
-        let err = ControlPlane::from_cache_payload(&other, 1, &payload);
-        assert!(matches!(err, Err(CachePayloadError::Decode(_))));
     }
 
     #[test]

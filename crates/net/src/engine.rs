@@ -1102,7 +1102,8 @@ impl<'a> Engine<'a> {
             }
         }
         let owner = owner?;
-        if dst.dst_as_raw == self.sub.cp.router_as_raw(cur) {
+        let cur_as = self.sub.cp.router_as_raw(cur);
+        if dst.dst_as_raw == cur_as {
             // RSVP-TE autoroute: destinations owned by a tunnel tail
             // enter the tunnel at its head.
             if let Some((iface, next, push)) = self.sub.cp.te_route(cur, owner) {
@@ -1114,7 +1115,9 @@ impl<'a> Engine<'a> {
             self.intra_hop(cur, slot, pkt)
         } else {
             let dst_idx = dst.dst_idx?;
-            match self.sub.cp.ext_route(cur, dst_idx) {
+            // The AS index just loaded for the same-AS test selects the
+            // pair's class: no second trip through `router_as_idx`.
+            match self.sub.cp.ext_route_from(cur, cur_as, dst_idx) {
                 ExtRoute::Unreachable => None,
                 ExtRoute::Direct { iface } => Some(NextHop {
                     iface,

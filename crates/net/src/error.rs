@@ -48,6 +48,12 @@ pub enum NetError {
         /// The unreachable downstream router.
         to: RouterId,
     },
+    /// An AS needs more external-route classes (distinct best next-hop
+    /// sets towards other ASes) than the `u16` class table holds.
+    TooManyRouteClasses {
+        /// The source AS.
+        asn: Asn,
+    },
     /// A fault plan with out-of-range parameters.
     InvalidFaultPlan {
         /// Which field is wrong and why.
@@ -77,6 +83,9 @@ impl fmt::Display for NetError {
             }
             NetError::MissingAdjacency { from, to } => {
                 write!(f, "no link between {from} and {to}")
+            }
+            NetError::TooManyRouteClasses { asn } => {
+                write!(f, "{asn} has more external-route classes than a u16 holds")
             }
             NetError::InvalidFaultPlan { reason } => {
                 write!(f, "invalid fault plan: {reason}")

@@ -1,6 +1,5 @@
 //! Hand-rolled length-prefixed binary codec for the files the
-//! distributed campaign exchanges (shard specs, shard results, the
-//! substrate cache).
+//! distributed campaign exchanges (shard specs and shard results).
 //!
 //! The format is deliberately boring: little-endian fixed-width
 //! integers, `u64` length prefixes on sequences, one tag byte per
@@ -289,62 +288,6 @@ impl Wire for crate::ReplyKind {
     }
 }
 
-impl Wire for crate::RouteClass {
-    fn put(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            crate::RouteClass::Customer => 0,
-            crate::RouteClass::Peer => 1,
-            crate::RouteClass::Provider => 2,
-        });
-    }
-    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::take(r)? {
-            0 => crate::RouteClass::Customer,
-            1 => crate::RouteClass::Peer,
-            2 => crate::RouteClass::Provider,
-            _ => return Err(WireError::Corrupt("RouteClass tag")),
-        })
-    }
-}
-
-impl Wire for crate::Bgp {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.next_as.put(out);
-        self.route.put(out);
-    }
-    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(crate::Bgp {
-            next_as: Wire::take(r)?,
-            route: Wire::take(r)?,
-        })
-    }
-}
-
-impl Wire for crate::ExtRoute {
-    /// Packed into one `u32`: tag in the low two bits, payload above —
-    /// the external-route table is the bulk of the substrate cache
-    /// (`n_as × num_routers` entries), so every entry stays four bytes.
-    fn put(&self, out: &mut Vec<u8>) {
-        let packed: u32 = match *self {
-            crate::ExtRoute::Unreachable => 0,
-            crate::ExtRoute::Direct { iface } => 1 | (iface << 2),
-            crate::ExtRoute::ViaEgress { egress } => 2 | (egress.0 << 2),
-        };
-        packed.put(out);
-    }
-    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let packed = u32::take(r)?;
-        Ok(match packed & 0b11 {
-            0 if packed == 0 => crate::ExtRoute::Unreachable,
-            1 => crate::ExtRoute::Direct { iface: packed >> 2 },
-            2 => crate::ExtRoute::ViaEgress {
-                egress: crate::RouterId(packed >> 2),
-            },
-            _ => return Err(WireError::Corrupt("ExtRoute tag")),
-        })
-    }
-}
-
 impl Wire for crate::EngineStats {
     fn put(&self, out: &mut Vec<u8>) {
         self.probes.put(out);
@@ -483,8 +426,9 @@ impl Wire for crate::FaultPlan {
 }
 
 /// FNV-1a (64-bit) over a byte buffer — the integrity checksum trailing
-/// every shard/cache file. Not cryptographic; it catches truncation and
-/// bit rot, which is all a same-machine file handoff needs.
+/// every shard-spec and shard file. Not cryptographic; it catches
+/// truncation and bit rot, which is all a same-machine file handoff
+/// needs.
 pub fn checksum(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -559,12 +503,6 @@ mod tests {
         round_trip(crate::Asn(3257));
         round_trip(Lse::new(Label(19), 1));
         round_trip(ReplyKind::TimeExceeded);
-        round_trip(crate::ExtRoute::Unreachable);
-        round_trip(crate::ExtRoute::Direct { iface: 3 });
-        round_trip(crate::ExtRoute::ViaEgress {
-            egress: crate::RouterId(14_000),
-        });
-        round_trip(crate::RouteClass::Peer);
         round_trip(EngineStats {
             probes: 1,
             crossings: 2,

@@ -1,9 +1,9 @@
 //! `wormhole-serve`: a resident campaign service over warm substrates.
 //!
-//! Building a synthetic Internet dominates the cost of every one-shot
-//! campaign run — at the thousandfold scale the substrate build takes
-//! multiples of the campaign itself. This crate keeps a long-lived
-//! process holding one built [`wormhole_topo::Internet`] per scale and
+//! Every one-shot campaign run first builds (and lints) its synthetic
+//! Internet — at the thousandfold scale about half the time of the
+//! campaign itself. This crate keeps a long-lived process holding one
+//! built [`wormhole_topo::Internet`] per scale and
 //! serves campaign, trace, and lint requests over a length-prefixed
 //! JSON protocol on a local Unix socket:
 //!

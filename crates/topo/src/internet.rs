@@ -237,10 +237,6 @@ fn build_persona(
 }
 
 /// A generated topology before its control plane is computed.
-///
-/// [`generate`] builds the plane immediately; the substrate cache
-/// ([`crate::cache`]) regenerates the (cheap, deterministic) topology
-/// and then restores the (expensive) plane tables from disk instead.
 pub(crate) struct Topology {
     pub(crate) net: Network,
     pub(crate) vps: Vec<RouterId>,

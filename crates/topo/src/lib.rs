@@ -8,15 +8,11 @@
 //!   personas, stubs, vantage points);
 //! * [`ground_truth`] — oracle queries used only for validation;
 //! * [`itdk`] — ITDK-style router-level snapshots with HDN extraction;
-//! * [`survey`] — the operator-survey constants of §1–2;
-//! * [`cache`] — an on-disk substrate cache keyed by a config
-//!   checksum, so repeated and multi-process invocations skip the
-//!   control-plane build.
+//! * [`survey`] — the operator-survey constants of §1–2.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod ground_truth;
 pub mod internet;
 pub mod itdk;
@@ -24,7 +20,6 @@ pub mod persona;
 pub mod scenario;
 pub mod survey;
 
-pub use cache::{cache_file, config_checksum, generate_cached, CacheError, CacheStatus};
 pub use ground_truth::GroundTruth;
 pub use internet::{generate, Internet, InternetConfig};
 pub use itdk::{ItdkBuilder, ItdkSnapshot, NodeInfo};

@@ -7,8 +7,7 @@
 //! wormhole-cli lint <config>             static analysis of a testbed config
 //! wormhole-cli campaign [quick|paper|tenfold|thousandfold]
 //!                       [--jobs N] [--faults <scenario>] [--stealing]
-//!                       [--distributed N] [--cache-dir DIR]
-//!                       [--emit summary|jsonl|report]
+//!                       [--distributed N] [--emit summary|jsonl|report]
 //!                                        full §4 campaign; scenarios:
 //!                                        clean, lossy_core, rate_limited_edge, hostile,
 //!                                        deceptive_ttl, artifact_lb, paranoid
@@ -20,8 +19,6 @@
 //!                                        --distributed N partitions each stealing
 //!                                        phase across N worker processes; the report
 //!                                        stays byte-identical to the in-process run.
-//!                                        --cache-dir DIR caches the built control
-//!                                        plane on disk, shared with the workers
 //! wormhole-cli campaign-worker --shard-spec <file>
 //!                                        internal: execute one distributed shard
 //!                                        spec and write the shard file back
@@ -71,7 +68,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: wormhole-cli <trace|smart|reveal|lint> <config> \
          | campaign [quick|paper|tenfold|thousandfold] [--jobs N] [--faults <scenario>] \
-         [--stealing] [--distributed N] [--cache-dir DIR] [--emit summary|jsonl|report] \
+         [--stealing] [--distributed N] [--emit summary|jsonl|report] \
          | campaign-worker --shard-spec <file> | list-configs\n\
          configs: {}\n\
          fault scenarios: clean, lossy_core, rate_limited_edge, hostile, deceptive_ttl, \
@@ -218,7 +215,6 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
     let mut scheduling = wormhole::experiments::scheduling_from_env();
     let mut emit = Emit::Summary;
     let mut distributed: Option<usize> = None;
-    let mut cache_dir: Option<std::path::PathBuf> = None;
     let mut chaos_abort_worker: Option<usize> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -239,13 +235,6 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
                 Some(n) if n >= 1 => distributed = Some(n),
                 _ => {
                     eprintln!("--distributed needs a worker-process count (>= 1)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--cache-dir" => match it.next() {
-                Some(d) => cache_dir = Some(std::path::PathBuf::from(d)),
-                None => {
-                    eprintln!("--cache-dir needs a directory for the substrate cache");
                     return ExitCode::FAILURE;
                 }
             },
@@ -295,22 +284,10 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
         }
     }
     if let Some(workers) = distributed {
-        return cmd_campaign_distributed(
-            scale,
-            jobs,
-            faults,
-            emit,
-            workers,
-            cache_dir,
-            chaos_abort_worker,
-        );
+        return cmd_campaign_distributed(scale, jobs, faults, emit, workers, chaos_abort_worker);
     }
     if chaos_abort_worker.is_some() {
         eprintln!("--chaos-abort-worker only applies to --distributed runs");
-        return ExitCode::FAILURE;
-    }
-    if cache_dir.is_some() && emit == Emit::Summary {
-        eprintln!("--cache-dir needs --distributed or --emit jsonl|report");
         return ExitCode::FAILURE;
     }
     eprintln!(
@@ -352,13 +329,7 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
         Emit::Jsonl | Emit::Report => {
             // The exact path `wormhole-serve` runs: build the substrate,
             // then stream one campaign over it.
-            let (internet, _cache) = match substrate_for(scale, cache_dir.as_deref()) {
-                Ok(v) => v,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let internet = wormhole::experiments::internet_for(scale, SUBSTRATE_SEED);
             let cfg = wormhole::experiments::campaign_config_for(scale, jobs, faults, scheduling);
             if emit == Emit::Jsonl {
                 let stdout = std::io::stdout();
@@ -381,50 +352,16 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Builds the campaign substrate, through the on-disk control-plane
-/// cache when a directory was given. Returns the Internet plus the
-/// cache file and config checksum distributed workers must agree on.
-fn substrate_for(
-    scale: wormhole::experiments::Scale,
-    cache_dir: Option<&std::path::Path>,
-) -> Result<(wormhole::topo::Internet, Option<(std::path::PathBuf, u64)>), String> {
-    let Some(dir) = cache_dir else {
-        return Ok((
-            wormhole::experiments::internet_for(scale, SUBSTRATE_SEED),
-            None,
-        ));
-    };
-    let net_cfg = wormhole::experiments::internet_config_for(scale, SUBSTRATE_SEED);
-    let (internet, status) = wormhole::topo::generate_cached(&net_cfg, dir)
-        .map_err(|e| format!("substrate cache under {}: {e}", dir.display()))?;
-    let path = wormhole::topo::cache_file(dir, &net_cfg);
-    eprintln!(
-        "substrate cache: {} ({})",
-        path.display(),
-        match status {
-            wormhole::topo::CacheStatus::Cold => "cold build, saved",
-            wormhole::topo::CacheStatus::Warm => "warm restore",
-        }
-    );
-    // The same lint-before-simulate gate `internet_for` applies.
-    let diags = wormhole::lint::check_internet(&internet);
-    wormhole::lint::deny_errors("campaign substrate", &diags);
-    let checksum = wormhole::topo::config_checksum(&net_cfg);
-    Ok((internet, Some((path, checksum))))
-}
-
 /// `campaign --distributed N`: partition each stealing phase across N
 /// worker processes (this same binary, `campaign-worker` subcommand)
 /// and merge their shard files. The report stays byte-identical to the
 /// in-process `--stealing` run.
-#[allow(clippy::too_many_arguments)]
 fn cmd_campaign_distributed(
     scale: wormhole::experiments::Scale,
     jobs: usize,
     faults: wormhole::net::FaultScenario,
     emit: Emit,
     workers: usize,
-    cache_dir: Option<std::path::PathBuf>,
     chaos_abort_worker: Option<usize>,
 ) -> ExitCode {
     let exe = match std::env::current_exe() {
@@ -434,13 +371,7 @@ fn cmd_campaign_distributed(
             return ExitCode::FAILURE;
         }
     };
-    let (internet, cache) = match substrate_for(scale, cache_dir.as_deref()) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let internet = wormhole::experiments::internet_for(scale, SUBSTRATE_SEED);
     let cfg = wormhole::experiments::campaign_config_for(
         scale,
         jobs,
@@ -453,7 +384,6 @@ fn cmd_campaign_distributed(
         worker_cmd: vec![exe.to_string_lossy().into_owned()],
         substrate_token: format!("{}:{SUBSTRATE_SEED}", scale.name()),
         work_dir: work_dir.clone(),
-        cache,
         keep_files: false,
         chaos_abort_worker,
     };
@@ -502,12 +432,6 @@ fn cmd_campaign_distributed(
                 p.phase, p.dispatched, p.received, p.missing, p.shard_probes
             );
         }
-        if let Some(c) = dist.master_cache_checksum {
-            eprintln!(
-                "substrate cache checksum {c:#018x}; workers reported {:?}",
-                dist.worker_cache_checksums
-            );
-        }
     }
     for d in &result.degraded_shards {
         eprintln!("degraded shard: vp {} lost in the {} phase", d.vp, d.phase);
@@ -533,8 +457,8 @@ fn cmd_campaign_distributed(
 
 /// `campaign-worker --shard-spec <file>`: the worker half of
 /// `campaign --distributed`. Decodes the spec, re-derives the identical
-/// substrate from its `<scale>:<seed>` token (or the shared cache
-/// file), executes its task subset, and writes the shard file back.
+/// substrate from its `<scale>:<seed>` token, executes its task subset,
+/// and writes the shard file back.
 fn cmd_campaign_worker(args: &[String]) -> ExitCode {
     let spec = match args {
         [flag, path] if flag == "--shard-spec" => std::path::Path::new(path),

@@ -1,9 +1,9 @@
 //! Distributed campaign executor: N worker processes, one shard file
 //! each, one deterministic merge. The contract under test is the hard
 //! one — the merged report is **byte-identical** to the in-process
-//! `--stealing --jobs 1` run, across worker counts, fault scenarios,
-//! and the on-disk substrate cache — plus the failure model (a killed
-//! worker degrades its shard, a corrupt cache is a typed error).
+//! `--stealing --jobs 1` run, across worker counts and fault scenarios
+//! — plus the failure model (a killed worker degrades its shard, a
+//! malformed shard spec is a typed error).
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -107,34 +107,6 @@ fn distributed_quick_hostile_and_paranoid_match_serial() {
     }
 }
 
-/// The substrate cache changes where the control plane comes from,
-/// never what it is: cold (build + save) and warm (restore) runs both
-/// match the uncached serial report, and the workers' reported config
-/// checksums agree with the master's (the A312 contract).
-#[test]
-fn distributed_quick_with_cache_matches_serial_cold_and_warm() {
-    let dir = scratch("cache-identity");
-    let want = serial_report("quick", "clean");
-    let dir_s = dir.to_string_lossy().into_owned();
-    for pass in ["cold", "warm"] {
-        let out = distributed_report("quick", "clean", "2", &["--cache-dir", &dir_s]);
-        assert!(
-            out.status.success(),
-            "{pass} cached run failed: {}",
-            stderr(&out)
-        );
-        assert_eq!(
-            stdout(&out),
-            want,
-            "{pass}-cache report diverged from serial"
-        );
-    }
-    // Second pass restored from disk rather than rebuilding.
-    let out = distributed_report("quick", "clean", "2", &["--cache-dir", &dir_s]);
-    assert!(stderr(&out).contains("warm restore"), "{}", stderr(&out));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Tenfold-scale byte-identity — the acceptance bar. Expensive, so
 /// `#[ignore]`d out of tier 1 (CI runs it in its own job).
 #[test]
@@ -184,69 +156,6 @@ fn killed_worker_degrades_its_shard_and_the_campaign_completes() {
         stdout(&out).contains("snapshot:"),
         "campaign should still produce its summary"
     );
-}
-
-/// A corrupt cache file is a typed error, never a silent rebuild.
-#[test]
-fn corrupt_substrate_cache_is_a_typed_error() {
-    let dir = scratch("cache-corrupt");
-    let dir_s = dir.to_string_lossy().into_owned();
-    // Seed the cache with one good run.
-    let out = run_cli(&[
-        "campaign",
-        "quick",
-        "--stealing",
-        "--emit",
-        "report",
-        "--cache-dir",
-        &dir_s,
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    let cache_file = std::fs::read_dir(&dir)
-        .expect("read cache dir")
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .find(|p| p.extension().is_some_and(|x| x == "whsc"))
-        .expect("a .whsc cache file");
-    // Flip a byte deep in the payload: framing still parses, the
-    // payload checksum does not.
-    let mut bytes = std::fs::read(&cache_file).expect("read cache file");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xFF;
-    std::fs::write(&cache_file, &bytes).expect("write corrupt cache");
-    let out = run_cli(&[
-        "campaign",
-        "quick",
-        "--stealing",
-        "--emit",
-        "report",
-        "--cache-dir",
-        &dir_s,
-    ]);
-    assert!(!out.status.success(), "corrupt cache must fail the run");
-    assert!(
-        stderr(&out).contains("corrupt"),
-        "expected the typed corrupt-payload error:\n{}",
-        stderr(&out)
-    );
-    // A non-WHSC file under the same name is the bad-magic variant.
-    std::fs::write(&cache_file, b"not a cache file at all").expect("write junk");
-    let out = run_cli(&[
-        "campaign",
-        "quick",
-        "--stealing",
-        "--emit",
-        "report",
-        "--cache-dir",
-        &dir_s,
-    ]);
-    assert!(!out.status.success(), "junk cache must fail the run");
-    assert!(
-        stderr(&out).contains("bad magic"),
-        "expected the typed bad-magic error:\n{}",
-        stderr(&out)
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Worker CLI error paths: a malformed spec names the valid fields so

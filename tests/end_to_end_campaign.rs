@@ -149,3 +149,34 @@ fn campaign_is_deterministic() {
         "same seed ⇒ same revelations"
     );
 }
+
+/// `lint::audit` normalizes its findings, so the `lint: warn[...]`
+/// lines a campaign prints are stable: auditing one result twice, and
+/// the same campaign run at one and at two workers, yield the same
+/// findings in the same order.
+#[test]
+fn audit_findings_keep_one_order() {
+    let internet = generate(&InternetConfig::small(23));
+    let run = |jobs| {
+        let cfg = CampaignConfig {
+            hdn_threshold: 6,
+            jobs,
+            ..CampaignConfig::default()
+        };
+        Campaign::new(&internet.net, &internet.cp, internet.vps.clone(), cfg).run()
+    };
+    let (one, two) = (run(1), run(2));
+    let findings = wormhole::core::audit_campaign(&internet.net, &one);
+    assert!(
+        findings.len() >= 2,
+        "the fixture must produce several findings for their order to matter: {findings:?}"
+    );
+    assert_eq!(
+        findings,
+        wormhole::core::audit_campaign(&internet.net, &one)
+    );
+    assert_eq!(
+        findings,
+        wormhole::core::audit_campaign(&internet.net, &two)
+    );
+}
