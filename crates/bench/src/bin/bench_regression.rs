@@ -13,10 +13,9 @@
 //! plus control plane) and each run's post-merge analysis may not grow
 //! more than 20% over the baseline, above a small absolute slack.
 //!
-//! The gate also fails when any recording-off packet walk — batched
-//! or scalar, at either scale — performs a heap allocation, regardless
-//! of throughput: the allocation-free walk is an invariant, not a
-//! number that may drift.
+//! The gate also fails when any recording-off packet walk — at either
+//! scale — performs a heap allocation, regardless of throughput: the
+//! allocation-free walk is an invariant, not a number that may drift.
 //!
 //! The distributed rows re-invoke *this binary* as the worker process
 //! (the `campaign-worker` argv mode above), so the gate measures the

@@ -409,8 +409,11 @@ impl Wire for crate::FaultPlan {
         self.non_paris.put(out);
         self.egress_hide.put(out);
     }
+    /// A decoded plan must pass [`crate::FaultPlan::validated`], so
+    /// bytes spelling an out-of-range probability or schedule are a
+    /// typed error rather than a plan no constructor could build.
     fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(crate::FaultPlan {
+        crate::FaultPlan {
             loss: f64::take(r)?,
             icmp_loss: f64::take(r)?,
             jitter_ms: f64::take(r)?,
@@ -421,7 +424,9 @@ impl Wire for crate::FaultPlan {
             ttl_spoof: Wire::take(r)?,
             non_paris: Wire::take(r)?,
             egress_hide: Wire::take(r)?,
-        })
+        }
+        .validated()
+        .map_err(|_| WireError::Corrupt("fault plan out of range"))
     }
 }
 

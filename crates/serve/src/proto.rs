@@ -26,14 +26,25 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
 }
 
 /// Reads one frame. `Ok(None)` on a clean end-of-stream (the peer
-/// closed between frames); an error on a truncated frame or an
-/// oversized length prefix.
+/// closed between frames); an `UnexpectedEof` error on a frame cut
+/// short anywhere, length prefix included, and an `InvalidData` error
+/// on an oversized length prefix or a non-UTF-8 payload.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<String>> {
     let mut len = [0u8; 4];
-    match r.read_exact(&mut len) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    let mut got = 0;
+    while got < len.len() {
+        match r.read(&mut len[got..]) {
+            Ok(0) if got == 0 => return Ok(None),
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    format!("stream ended {got} bytes into a frame length prefix"),
+                ))
+            }
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
     let len = u32::from_be_bytes(len);
     if len > MAX_FRAME {
@@ -174,6 +185,11 @@ mod tests {
     fn truncated_and_oversized_frames_error() {
         let mut r = Cursor::new(vec![0, 0, 0, 9, b'x']);
         assert!(read_frame(&mut r).is_err());
+        // A stream cut inside the length prefix is truncated, not a
+        // clean close.
+        let mut r = Cursor::new(vec![0, 0]);
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         let mut r = Cursor::new((MAX_FRAME + 1).to_be_bytes().to_vec());
         assert!(read_frame(&mut r).is_err());
     }

@@ -6,7 +6,10 @@
 //! with broken per-worker seeding, because no randomness is drawn.
 
 use wormhole::core::{Campaign, CampaignConfig, CampaignReport, Scheduling};
+use wormhole::experiments::{campaign_config_for, campaign_over, internet_config_for, Scale};
+use wormhole::net::wire::checksum;
 use wormhole::net::{FaultPlan, FaultScenario};
+use wormhole::probe::NullSink;
 use wormhole::topo::{generate, Internet, InternetConfig};
 
 fn report(internet: &Internet, jobs: usize, seed: u64) -> CampaignReport {
@@ -92,6 +95,136 @@ fn every_fault_scenario_is_identical_at_any_worker_count() {
     }
 }
 
+/// Golden report checksums: `net::wire::checksum` (FNV-64) of the
+/// [`CampaignReport`] text that `campaign_config_for(scale, 1, scenario,
+/// scheduling)` produces over `internet_config_for(scale, 8)` — the
+/// substrate and configuration `wormhole-cli campaign` runs. Any change
+/// to these bytes is a re-baseline and must be declared as one; a
+/// hot-path refactor that moves them is a bug.
+const GOLDEN: &[(Scale, &str, Scheduling, u64)] = &[
+    (
+        Scale::Quick,
+        "clean",
+        Scheduling::VpBatches,
+        0x8f12_5342_b8b5_9fb3,
+    ),
+    (
+        Scale::Quick,
+        "clean",
+        Scheduling::Stealing,
+        0x8f12_5342_b8b5_9fb3,
+    ),
+    (
+        Scale::Quick,
+        "hostile",
+        Scheduling::VpBatches,
+        0x5666_a7ae_826b_d620,
+    ),
+    (
+        Scale::Quick,
+        "hostile",
+        Scheduling::Stealing,
+        0x2a15_8035_2db8_8c2a,
+    ),
+    (
+        Scale::Quick,
+        "paranoid",
+        Scheduling::VpBatches,
+        0xb4e1_528f_199a_1983,
+    ),
+    (
+        Scale::Quick,
+        "paranoid",
+        Scheduling::Stealing,
+        0x6c29_1a78_4407_23d8,
+    ),
+    (
+        Scale::Paper,
+        "clean",
+        Scheduling::VpBatches,
+        0x7e33_9793_9bf4_0413,
+    ),
+    (
+        Scale::Paper,
+        "hostile",
+        Scheduling::VpBatches,
+        0xa36a_5730_421d_d96d,
+    ),
+    (
+        Scale::Tenfold,
+        "clean",
+        Scheduling::VpBatches,
+        0x9ef6_082e_ab8b_d4f5,
+    ),
+    (
+        Scale::Tenfold,
+        "clean",
+        Scheduling::Stealing,
+        0xccb5_6f14_86b6_8c43,
+    ),
+    (
+        Scale::Tenfold,
+        "hostile",
+        Scheduling::VpBatches,
+        0xafbc_1c01_dee5_880a,
+    ),
+    (
+        Scale::Tenfold,
+        "hostile",
+        Scheduling::Stealing,
+        0x4296_9957_4c94_0278,
+    ),
+    (
+        Scale::ThousandFold,
+        "clean",
+        Scheduling::VpBatches,
+        0x3205_f11d_33dc_4c06,
+    ),
+];
+
+/// Checks every [`GOLDEN`] row at `scale`, generating the substrate
+/// once. Campaign sessions keep path recording off, so the walk must
+/// also stay allocation-free.
+fn assert_golden(scale: Scale) {
+    let internet = generate(&internet_config_for(scale, 8));
+    for &(_, name, scheduling, want) in GOLDEN.iter().filter(|row| row.0 == scale) {
+        let scenario = FaultScenario::parse(name).expect("golden scenario exists");
+        let cfg = campaign_config_for(scale, 1, scenario, scheduling);
+        let result = campaign_over(&internet, &cfg, &mut NullSink);
+        let got = checksum(result.report().text().as_bytes());
+        assert_eq!(
+            got, want,
+            "{scale:?} {name} {scheduling:?}: report checksum {got:#018x}, golden {want:#018x}"
+        );
+        assert_eq!(
+            result.engine_stats.heap_allocs, 0,
+            "{scale:?} {name} {scheduling:?}: campaign walk allocated"
+        );
+    }
+}
+
+#[test]
+fn golden_reports_quick_scale() {
+    assert_golden(Scale::Quick);
+}
+
+#[test]
+fn golden_reports_paper_scale() {
+    assert_golden(Scale::Paper);
+}
+
+#[test]
+#[ignore = "tenfold scale: run in release CI via --include-ignored"]
+fn golden_reports_tenfold_scale() {
+    assert_golden(Scale::Tenfold);
+}
+
+#[test]
+#[ignore = "thousandfold scale: run in release CI via --include-ignored"]
+fn golden_reports_thousandfold_scale() {
+    assert_golden(Scale::ThousandFold);
+}
+
 #[test]
 fn stealing_campaign_is_identical_at_any_worker_count() {
     // Per-trace work stealing executes tasks in whatever order idle
@@ -155,108 +288,6 @@ fn stealing_survives_the_hostile_scenario_at_any_worker_count() {
     }
 }
 
-/// The batched-walk equivalence property (PR 7 pin): at a given
-/// `(topology, scheduling, faults, seed)`, every `(batch_width, jobs)`
-/// combination must produce a byte-identical [`CampaignReport`] *and*
-/// identical aggregate engine counters — with `heap_allocs == 0`, since
-/// campaign sessions keep path recording off and the SoA batch driver
-/// holds all lane state inline. `batch_width` 0/1 is the scalar walk,
-/// 64 the full-width batched walk; 8 exercises a partial batch.
-fn assert_batched_matches_scalar(
-    internet: &Internet,
-    faults: FaultPlan,
-    scheduling: Scheduling,
-    hdn_threshold: usize,
-) {
-    let run = |batch_width: usize, jobs: usize| {
-        let cfg = CampaignConfig {
-            hdn_threshold,
-            faults: faults.clone(),
-            seed: 11,
-            jobs,
-            scheduling,
-            batch_width,
-            ..CampaignConfig::default()
-        };
-        Campaign::new(&internet.net, &internet.cp, internet.vps.clone(), cfg).run()
-    };
-    let scalar = run(0, 1);
-    assert_eq!(
-        scalar.engine_stats.heap_allocs, 0,
-        "scalar campaign walk must stay allocation-free"
-    );
-    for (bw, jobs) in [(1, 2), (8, 1), (64, 1), (64, 2), (64, 4)] {
-        let batched = run(bw, jobs);
-        assert_eq!(
-            scalar.report(),
-            batched.report(),
-            "batch_width={bw} jobs={jobs} report diverged from scalar"
-        );
-        assert_eq!(
-            scalar.engine_stats, batched.engine_stats,
-            "batch_width={bw} jobs={jobs} engine counters diverged from scalar"
-        );
-        assert_eq!(
-            batched.engine_stats.heap_allocs, 0,
-            "batch_width={bw} jobs={jobs} batched walk allocated"
-        );
-    }
-}
-
-#[test]
-fn batched_walk_matches_scalar_quick_scale() {
-    // Quick scale, clean faults (the batched fast path runs for real)
-    // and the hostile composite (the order-sensitive plan exercises the
-    // scalar fallback), under both schedulers.
-    let internet = generate(&InternetConfig::small(17));
-    let hostile = FaultScenario::ALL
-        .iter()
-        .find(|s| s.name() == "hostile")
-        .expect("hostile scenario exists");
-    for scheduling in [Scheduling::VpBatches, Scheduling::Stealing] {
-        assert_batched_matches_scalar(&internet, FaultPlan::none(), scheduling, 6);
-        assert_batched_matches_scalar(&internet, hostile.plan(), scheduling, 6);
-    }
-}
-
-#[test]
-fn batched_walk_matches_scalar_paper_scale() {
-    let internet = generate(&InternetConfig {
-        seed: 8,
-        ..InternetConfig::default()
-    });
-    let hostile = FaultScenario::ALL
-        .iter()
-        .find(|s| s.name() == "hostile")
-        .expect("hostile scenario exists");
-    for scheduling in [Scheduling::VpBatches, Scheduling::Stealing] {
-        assert_batched_matches_scalar(&internet, FaultPlan::none(), scheduling, 9);
-        assert_batched_matches_scalar(&internet, hostile.plan(), scheduling, 9);
-    }
-}
-
-#[test]
-fn batched_walk_matches_scalar_under_deception() {
-    // The deceptive scenarios are excluded from the SoA batch fast
-    // path (`FaultPlan::batch_safe`), so a batched campaign config must
-    // take the scalar fallback and still land on the same bytes and
-    // engine counters at every (batch_width, jobs) combination.
-    let internet = generate(&InternetConfig::small(17));
-    for name in ["deceptive_ttl", "artifact_lb", "paranoid"] {
-        let scenario = FaultScenario::ALL
-            .iter()
-            .find(|s| s.name() == name)
-            .unwrap_or_else(|| panic!("{name} scenario exists"));
-        assert!(
-            !scenario.plan().batch_safe(),
-            "{name} must be excluded from the batched walk"
-        );
-        for scheduling in [Scheduling::VpBatches, Scheduling::Stealing] {
-            assert_batched_matches_scalar(&internet, scenario.plan(), scheduling, 6);
-        }
-    }
-}
-
 #[test]
 fn stealing_survives_the_paranoid_scenario_at_any_worker_count() {
     // The paranoid composite layers every deception (spoofed quoted
@@ -288,20 +319,6 @@ fn stealing_survives_the_paranoid_scenario_at_any_worker_count() {
             run(jobs),
             "paranoid stealing diverged at jobs={jobs}"
         );
-    }
-}
-
-#[test]
-#[ignore = "tenfold scale: run in release CI via --include-ignored"]
-fn batched_walk_matches_scalar_tenfold_scale() {
-    let internet = generate(&InternetConfig::tenfold(8));
-    let hostile = FaultScenario::ALL
-        .iter()
-        .find(|s| s.name() == "hostile")
-        .expect("hostile scenario exists");
-    for scheduling in [Scheduling::VpBatches, Scheduling::Stealing] {
-        assert_batched_matches_scalar(&internet, FaultPlan::none(), scheduling, 12);
-        assert_batched_matches_scalar(&internet, hostile.plan(), scheduling, 12);
     }
 }
 
