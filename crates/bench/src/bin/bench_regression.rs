@@ -5,8 +5,6 @@
 //! ```text
 //! bench-regression            compare fresh numbers to the baselines
 //! bench-regression --write    refresh the baselines in place
-//! bench-regression campaign-worker --shard-spec <file>
-//!                             (internal) distributed worker mode
 //! ```
 //!
 //! Wall times are gated too: each scale's substrate build (topology
@@ -16,11 +14,6 @@
 //! The gate also fails when any recording-off packet walk — at either
 //! scale — performs a heap allocation, regardless of throughput: the
 //! allocation-free walk is an invariant, not a number that may drift.
-//!
-//! The distributed rows re-invoke *this binary* as the worker process
-//! (the `campaign-worker` argv mode above), so the gate measures the
-//! multi-process executor without depending on `wormhole-cli` being
-//! built.
 
 use std::process::ExitCode;
 use wormhole_bench::measure;
@@ -61,32 +54,8 @@ fn check_seconds(name: &str, what: &str, baseline: f64, fresh: f64, failures: &m
     }
 }
 
-/// `campaign-worker --shard-spec <file>`: the worker half of the
-/// distributed bench rows. Delegates to the same
-/// [`wormhole_experiments::resolve_worker_substrate`] the CLI worker
-/// uses, so a token means the same substrate in both.
-fn worker_mode(args: &[String]) -> ExitCode {
-    let spec = match args {
-        [flag, path] if flag == "--shard-spec" => std::path::Path::new(path),
-        _ => {
-            eprintln!("usage: bench-regression campaign-worker --shard-spec <file>");
-            return ExitCode::FAILURE;
-        }
-    };
-    match wormhole_core::worker_main(spec, &wormhole_experiments::resolve_worker_substrate) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("campaign-worker: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("campaign-worker") {
-        return worker_mode(&args[1..]);
-    }
     let write = args.iter().any(|a| a == "--write");
 
     let (tenfold, tenfold_build) = measure::generate_timed(&InternetConfig::tenfold(8));
@@ -103,31 +72,8 @@ fn main() -> ExitCode {
     ];
     let engine = measure::measure_engine(&tenfold, &thousandfold);
 
-    // Distributed row: two worker processes at tenfold, each rebuilding
-    // the substrate from its token. The dispatcher appends
-    // `campaign-worker --shard-spec <file>` itself; the command prefix
-    // is just this binary.
-    let worker_cmd = vec![std::env::current_exe()
-        .expect("current executable path")
-        .to_string_lossy()
-        .into_owned()];
-    let dist = vec![measure::time_distributed(
-        "tenfold",
-        &tenfold,
-        2,
-        worker_cmd,
-        "tenfold:8",
-    )];
-
     for line in measure::summary_lines(&scales) {
         println!("{line}");
-    }
-    for d in &dist {
-        println!(
-            "campaign {} distributed workers={}: {:.0} probes/sec \
-             ({} probes, {:.3}s wall incl. worker spawns)",
-            d.scale, d.workers, d.probes_per_sec, d.probes, d.seconds
-        );
     }
     for s in &scales {
         println!("substrate build {}: {:.3}s", s.scale, s.build_seconds);
@@ -144,10 +90,7 @@ fn main() -> ExitCode {
     );
 
     if write {
-        measure::write_baseline(
-            "BENCH_campaign.json",
-            &measure::campaign_json(&scales, &dist),
-        );
+        measure::write_baseline("BENCH_campaign.json", &measure::campaign_json(&scales));
         measure::write_baseline("BENCH_engine.json", &measure::engine_json(&engine));
         println!("baselines rewritten");
         return ExitCode::SUCCESS;
@@ -194,22 +137,6 @@ fn main() -> ExitCode {
                     None => failures.push(format!(
                         "{name}: committed baseline has no fresh measurement — the run matrix \
                          shrank; refresh the baseline with --write if that was intended"
-                    )),
-                }
-            }
-            for base in measure::parse_distributed_baseline(&json) {
-                let name = format!(
-                    "campaign {} distributed workers={}",
-                    base.scale, base.workers
-                );
-                match dist
-                    .iter()
-                    .find(|d| d.scale == base.scale && d.workers == base.workers)
-                {
-                    Some(d) => check(&name, base.probes_per_sec, d.probes_per_sec, &mut failures),
-                    None => failures.push(format!(
-                        "{name}: committed baseline has no fresh measurement — the distributed \
-                         matrix shrank; refresh the baseline with --write if that was intended"
                     )),
                 }
             }

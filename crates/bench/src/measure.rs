@@ -8,9 +8,9 @@
 //! to keep the bench crate free of serialisation dependencies.
 
 use std::time::Instant;
-use wormhole_core::{Campaign, CampaignConfig, DistributedOpts, Scheduling};
+use wormhole_core::{Campaign, CampaignConfig, Scheduling};
 use wormhole_net::{Addr, ControlPlane, FaultPlan, FaultScenario, ProbeState, SubstrateRef};
-use wormhole_probe::{NullSink, Session};
+use wormhole_probe::Session;
 use wormhole_topo::{generate, Internet, InternetConfig};
 
 /// One timed §4 campaign at a fixed worker count, fault scenario and
@@ -171,75 +171,6 @@ pub fn measure_scale(
     }
 }
 
-/// One timed multi-process campaign: `workers` worker processes, one
-/// shard file each, merged file-level by the master.
-#[derive(Clone, Debug)]
-pub struct DistRun {
-    /// Scale name the run belongs to.
-    pub scale: &'static str,
-    /// Worker *process* count.
-    pub workers: usize,
-    /// Probe packets across all workers (merged master-side count).
-    pub probes: u64,
-    /// End-to-end wall seconds, process spawns and merges included.
-    pub seconds: f64,
-    /// Headline throughput (`probes / seconds`).
-    pub probes_per_sec: f64,
-}
-
-/// Times one distributed campaign over an already-generated Internet.
-/// `worker_cmd` is the argv prefix re-invoked per worker (the caller
-/// supplies its own binary's worker mode); every worker rebuilds the
-/// substrate from `substrate_token`, so the run includes those builds.
-/// One timed run — each phase already spawns `workers` processes, so
-/// the run is its own repetition — and the work dir is cleaned up
-/// afterwards.
-pub fn time_distributed(
-    scale: &'static str,
-    internet: &Internet,
-    workers: usize,
-    worker_cmd: Vec<String>,
-    substrate_token: &str,
-) -> DistRun {
-    let work_dir = std::env::temp_dir().join(format!(
-        "wormhole-bench-dist-{scale}-{}",
-        std::process::id()
-    ));
-    let opts = DistributedOpts {
-        workers,
-        worker_cmd,
-        substrate_token: substrate_token.to_string(),
-        work_dir: work_dir.clone(),
-        keep_files: false,
-        chaos_abort_worker: None,
-    };
-    let campaign = Campaign::new(
-        &internet.net,
-        &internet.cp,
-        internet.vps.clone(),
-        CampaignConfig {
-            hdn_threshold: 9,
-            jobs: 1,
-            faults: FaultScenario::Clean.plan(),
-            scheduling: Scheduling::Stealing,
-            ..CampaignConfig::default()
-        },
-    );
-    let t0 = Instant::now();
-    let result = campaign
-        .run_distributed(&mut NullSink, &opts)
-        .expect("distributed bench campaign");
-    let seconds = t0.elapsed().as_secs_f64();
-    let _ = std::fs::remove_dir(&work_dir);
-    DistRun {
-        scale,
-        workers,
-        probes: result.probes,
-        seconds,
-        probes_per_sec: result.probes as f64 / seconds,
-    }
-}
-
 /// One human-readable line per run, for bench and CI logs.
 pub fn summary_lines(scales: &[ScaleBench]) -> Vec<String> {
     scales
@@ -266,28 +197,7 @@ pub fn summary_lines(scales: &[ScaleBench]) -> Vec<String> {
 }
 
 /// Renders campaign measurements as the `BENCH_campaign.json` document.
-/// Distributed rows are an optional section — an emitter with nothing
-/// to report (the Criterion bench, which has no worker binary on hand)
-/// omits it rather than writing an empty array, and each row carries
-/// its scale inline so the one-line parsers stay line-local.
-pub fn campaign_json(scales: &[ScaleBench], dist: &[DistRun]) -> String {
-    let mut tail = String::new();
-    if !dist.is_empty() {
-        let rows: Vec<String> = dist
-            .iter()
-            .map(|d| {
-                format!(
-                    "    {{\"scale\": \"{}\", \"workers\": {}, \"probes\": {}, \
-                     \"seconds\": {:.6}, \"probes_per_sec\": {:.1}}}",
-                    d.scale, d.workers, d.probes, d.seconds, d.probes_per_sec
-                )
-            })
-            .collect();
-        tail.push_str(&format!(
-            ",\n  \"distributed\": [\n{}\n  ]",
-            rows.join(",\n")
-        ));
-    }
+pub fn campaign_json(scales: &[ScaleBench]) -> String {
     let sections: Vec<String> = scales
         .iter()
         .map(|s| {
@@ -325,7 +235,7 @@ pub fn campaign_json(scales: &[ScaleBench], dist: &[DistRun]) -> String {
         })
         .collect();
     format!(
-        "{{\n  \"bench\": \"campaign\",\n  \"cores\": {},\n  \"scales\": [\n{}\n  ]{tail}\n}}\n",
+        "{{\n  \"bench\": \"campaign\",\n  \"cores\": {},\n  \"scales\": [\n{}\n  ]\n}}\n",
         cores(),
         sections.join(",\n")
     )
@@ -519,35 +429,6 @@ pub fn parse_campaign_baseline(json: &str) -> Vec<BaselineRun> {
     out
 }
 
-/// A `(scale, workers)` distributed-campaign throughput entry from a
-/// committed `BENCH_campaign.json`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DistBaseline {
-    /// Scale name the run belongs to.
-    pub scale: String,
-    /// Worker process count.
-    pub workers: usize,
-    /// Committed throughput.
-    pub probes_per_sec: f64,
-}
-
-/// Extracts the distributed-campaign rows from a `BENCH_campaign.json`
-/// document. Keys each line on `"workers":` + `"probes_per_sec":` —
-/// the in-process runs carry `"jobs":` instead, so the two row kinds
-/// never collide (and [`parse_campaign_baseline`] skips these lines
-/// for the same reason).
-pub fn parse_distributed_baseline(json: &str) -> Vec<DistBaseline> {
-    json.lines()
-        .filter_map(|line| {
-            Some(DistBaseline {
-                scale: str_field(line, "scale")?,
-                workers: num_field(line, "workers")? as usize,
-                probes_per_sec: num_field(line, "probes_per_sec")?,
-            })
-        })
-        .collect()
-}
-
 /// The committed build wall seconds of every scale section of a
 /// `BENCH_campaign.json` document, as `(scale, build_seconds)`. Keys on
 /// the `"build_seconds":` line, which the emitter writes after the
@@ -651,19 +532,9 @@ mod tests {
         }]
     }
 
-    fn sample_dist() -> Vec<DistRun> {
-        vec![DistRun {
-            scale: "tenfold",
-            workers: 2,
-            probes: 27146,
-            seconds: 4.2,
-            probes_per_sec: 6463.3,
-        }]
-    }
-
     #[test]
     fn campaign_json_round_trips_through_the_baseline_parser() {
-        let json = campaign_json(&sample_scales(), &[]);
+        let json = campaign_json(&sample_scales());
         let runs = parse_campaign_baseline(&json);
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[0].scale, "tenfold");
@@ -676,30 +547,10 @@ mod tests {
         assert_eq!(runs[1].faults, "hostile");
         assert_eq!(runs[1].scheduling, "stealing");
         assert!((runs[1].analysis_seconds.expect("analysis row") - 0.003).abs() < 1e-9);
-    }
-
-    #[test]
-    fn distributed_rows_round_trip_without_confusing_the_run_parser() {
-        let json = campaign_json(&sample_scales(), &sample_dist());
-
-        let dist = parse_distributed_baseline(&json);
-        assert_eq!(dist.len(), 1);
-        assert_eq!(dist[0].scale, "tenfold");
-        assert_eq!(dist[0].workers, 2);
-        assert!((dist[0].probes_per_sec - 6463.3).abs() < 0.2);
-
         assert_eq!(
             parse_build_baseline(&json),
             vec![("tenfold".to_string(), 1.5)]
         );
-
-        // The legacy in-process parser must not pick the distributed
-        // rows up as campaign runs — they carry no "jobs" field by
-        // design.
-        assert_eq!(parse_campaign_baseline(&json).len(), 2);
-        // And a baseline without the section parses to empty.
-        let bare = campaign_json(&sample_scales(), &[]);
-        assert!(parse_distributed_baseline(&bare).is_empty());
     }
 
     #[test]

@@ -27,14 +27,12 @@
 //! any thread count. Each VP's fault RNG stream is derived from
 //! `(seed, vp_index)` via [`wormhole_net::worker_seed`].
 
-use crate::distributed::{DistDispatcher, DistError, DistSummary, DistributedOpts};
 use crate::fingerprint::FingerprintTable;
 use crate::reveal::{reveal_between, AbandonReason, RevealOpts, RevelationOutcome};
 use crate::shard;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt::Write as _;
 use std::time::Instant;
-use wormhole_net::wire::Wire;
 use wormhole_net::{
     trace_seed, Addr, Asn, ControlPlane, EngineStats, FaultPlan, Network, ProbeState, ReplyKind,
     RouterId, SubstrateRef,
@@ -92,9 +90,14 @@ pub struct CampaignConfig {
     /// evidence (quoted-TTL plausibility, duplicate-IP/loop screens,
     /// return-path consistency — see [`crate::veracity`]), and spend a
     /// per-flow stability re-trace per revelation when the fault plan
-    /// is deceptive. Honest scenarios can never be contradicted, so
-    /// their reports stay byte-identical with this on; the adversarial
-    /// sweep turns it off to measure undetected corruption.
+    /// is deceptive. Honest scenarios skip that re-trace, so turning
+    /// this on changes none of their probing; their reports differ
+    /// only by the `veracity=contradicted` marker. Honest reports *can*
+    /// carry that marker: an honest re-trace may show one address at
+    /// two consecutive TTLs, which the loop screen counts as a forged
+    /// loop (21 clean revelations at paper scale, 444 at thousandfold).
+    /// The adversarial sweep turns screening off to measure undetected
+    /// corruption.
     pub screen_revelations: bool,
     /// Keep the bootstrap IP paths on [`CampaignResult`]. Off by
     /// default (the paper's workflow discards bootstrap traces after
@@ -302,11 +305,6 @@ pub struct CampaignResult {
     /// The bootstrap IP paths, kept only when
     /// [`CampaignConfig::keep_bootstrap_paths`] is set; empty otherwise.
     pub bootstrap_paths: Vec<Vec<Option<Addr>>>,
-    /// Cross-process shard accounting, present only when the run was
-    /// distributed ([`Campaign::run_distributed`]). Excluded from
-    /// [`Self::report`] — a distributed run's report must stay
-    /// byte-identical to the in-process run it mirrors.
-    pub dist: Option<DistSummary>,
 }
 
 impl CampaignResult {
@@ -402,9 +400,11 @@ impl CampaignResult {
         revs.sort_by_key(|&(pair, _)| *pair);
         for ((x, y), out) in revs {
             // The veracity marker appears only on contradicted
-            // revelations. Honest scenarios can never be contradicted
-            // (artifact screens require positive evidence of deception),
-            // so honest reports keep their exact historical bytes.
+            // revelations. Honest scenarios are not immune: the loop
+            // screen also fires on an honest re-trace that repeats an
+            // address at consecutive TTLs, so clean paper and
+            // thousandfold reports carry the marker (quick and tenfold
+            // clean reports happen not to).
             let vs = match out.veracity() {
                 crate::reveal::Veracity::Contradicted => " veracity=contradicted",
                 _ => "",
@@ -488,25 +488,21 @@ impl std::fmt::Display for CampaignReport {
 
 /// Folds a phase tag and up to two identifying addresses into the seed
 /// key of a stolen task, so a VP probing the same address in two
-/// different phases still draws from two distinct RNG streams. Shared
-/// with the distributed worker ([`crate::distributed`]), which must
-/// re-derive the exact keys the in-process executor would use.
-pub(crate) fn steal_key(tag: u64, a: u64, b: u64) -> u64 {
+/// different phases still draws from two distinct RNG streams.
+fn steal_key(tag: u64, a: u64, b: u64) -> u64 {
     (tag << 56) ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17) ^ b
 }
 
 /// What one revelation task produces: the candidate pair, the recursion
 /// outcome, and the echo-reply pings of any newly revealed hops.
-pub(crate) type RevealPayload = ((Addr, Addr), RevelationOutcome, Vec<(Addr, Option<u8>)>);
+type RevealPayload = ((Addr, Addr), RevelationOutcome, Vec<(Addr, Option<u8>)>);
 
 /// One revelation task: the DPR/BRPR recursion over `(x, y, d)` plus
 /// the echo-reply pings of hops phase 4 did not already discover. The
-/// already-pinged dedup is per task — a stolen (or remote) task cannot
-/// see what its VP's other tasks revealed without depending on
-/// execution order. Shared verbatim by the in-process stealing closure
-/// and the distributed worker so both produce identical payloads.
+/// already-pinged dedup is per task — a stolen task cannot see what
+/// its VP's other tasks revealed without depending on execution order.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn reveal_one(
+fn reveal_one(
     sess: &mut Session<'_>,
     g: usize,
     x: Addr,
@@ -676,46 +672,6 @@ impl<'a> Campaign<'a> {
     /// emission path behind `wormhole-cli campaign --emit jsonl` and
     /// `wormhole-serve`.
     pub fn run_streaming(&self, sink: &mut dyn TraceSink) -> CampaignResult {
-        self.run_inner(sink, None)
-    }
-
-    /// [`Campaign::run_streaming`] with every stealing probing phase
-    /// executed by worker *processes* instead of threads: the phase
-    /// queue is partitioned by owning vantage point, each worker gets a
-    /// shard-spec file and writes a canonical shard file back, and the
-    /// master merges the files deterministically — see
-    /// [`crate::distributed`] for the formats and the byte-identity
-    /// argument. The returned result carries the cross-process
-    /// accounting in [`CampaignResult::dist`]; its report is
-    /// byte-identical to an in-process `jobs = 1` stealing run.
-    ///
-    /// Requires [`Scheduling::Stealing`]: only per-task hermetic
-    /// sessions make a task independent of the process that ran it.
-    pub fn run_distributed(
-        &self,
-        sink: &mut dyn TraceSink,
-        opts: &DistributedOpts,
-    ) -> Result<CampaignResult, DistError> {
-        if self.cfg.scheduling != Scheduling::Stealing {
-            return Err(DistError::NotStealing);
-        }
-        let mut dispatcher = DistDispatcher::new(
-            opts,
-            self.vps.len(),
-            self.cfg.seed,
-            self.cfg.faults.clone(),
-            self.cfg.trace_opts.clone(),
-        )?;
-        let mut result = self.run_inner(sink, Some(&mut dispatcher));
-        result.dist = Some(dispatcher.into_summary());
-        Ok(result)
-    }
-
-    fn run_inner(
-        &self,
-        sink: &mut dyn TraceSink,
-        mut dist: Option<&mut DistDispatcher<'_>>,
-    ) -> CampaignResult {
         let stealing = self.cfg.scheduling == Scheduling::Stealing;
         // Long-lived per-VP sessions only exist in batch mode; stealing
         // builds a hermetic session per task instead.
@@ -775,18 +731,15 @@ impl<'a> Campaign<'a> {
                     task: (g, t),
                 })
                 .collect();
-            let (shards, probes, es) = match dist.as_deref_mut() {
-                Some(d) => d.dispatch(1, "bootstrap", &queue, &[]),
-                None => shard::run_stealing(
-                    n_vps,
-                    queue,
-                    jobs,
-                    shard::STEAL_CHUNK,
-                    &mut merge_scratch,
-                    &make_session,
-                    &|sess, (g, t)| (g, sess.traceroute(t).addr_path()),
-                ),
-            };
+            let (shards, probes, es) = shard::run_stealing(
+                n_vps,
+                queue,
+                jobs,
+                shard::STEAL_CHUNK,
+                &mut merge_scratch,
+                &make_session,
+                &|sess, (g, t)| (g, sess.traceroute(t).addr_path()),
+            );
             engine_totals.merge(&es);
             for (acc, p) in stolen_probes.iter_mut().zip(probes) {
                 *acc += p;
@@ -862,23 +815,20 @@ impl<'a> Campaign<'a> {
                     task: (i, t),
                 })
                 .collect();
-            let (shards, probes, es) = match dist.as_deref_mut() {
-                Some(d) => d.dispatch(2, "probe", &queue, &[]),
-                None => shard::run_stealing(
-                    n_vps,
-                    queue,
-                    jobs,
-                    shard::STEAL_CHUNK,
-                    &mut merge_scratch,
-                    &make_session,
-                    &|sess, (g, t)| {
-                        if let Some((idx, vp)) = chaos {
-                            assert!(sess.vp() != vp, "chaos: injected worker panic (vp {idx})");
-                        }
-                        (g, sess.traceroute(t))
-                    },
-                ),
-            };
+            let (shards, probes, es) = shard::run_stealing(
+                n_vps,
+                queue,
+                jobs,
+                shard::STEAL_CHUNK,
+                &mut merge_scratch,
+                &make_session,
+                &|sess, (g, t)| {
+                    if let Some((idx, vp)) = chaos {
+                        assert!(sess.vp() != vp, "chaos: injected worker panic (vp {idx})");
+                    }
+                    (g, sess.traceroute(t))
+                },
+            );
             engine_totals.merge(&es);
             for (acc, p) in stolen_probes.iter_mut().zip(probes) {
                 *acc += p;
@@ -974,18 +924,15 @@ impl<'a> Campaign<'a> {
                         })
                     })
                     .collect();
-                let (shards, probes, es) = match dist.as_deref_mut() {
-                    Some(d) => d.dispatch(3, "fingerprint", &queue, &[]),
-                    None => shard::run_stealing(
-                        n_vps,
-                        queue,
-                        jobs,
-                        shard::STEAL_CHUNK,
-                        &mut merge_scratch,
-                        &make_session,
-                        &|sess, (g, addr)| (g, addr, sess.ping(addr)),
-                    ),
-                };
+                let (shards, probes, es) = shard::run_stealing(
+                    n_vps,
+                    queue,
+                    jobs,
+                    shard::STEAL_CHUNK,
+                    &mut merge_scratch,
+                    &make_session,
+                    &|sess, (g, addr)| (g, addr, sess.ping(addr)),
+                );
                 engine_totals.merge(&es);
                 for (acc, p) in stolen_probes.iter_mut().zip(probes) {
                     *acc += p;
@@ -1116,42 +1063,26 @@ impl<'a> Campaign<'a> {
             // DPR/BRPR recursion each), so claims stay per-task: a
             // `STEAL_CHUNK`-sized claim could hand one worker the entire
             // phase.
-            // Last dispatcher use, so the option moves instead of
-            // reborrowing.
-            let (shards, probes, es) = match dist {
-                Some(d) => {
-                    // The worker re-runs `reveal_one` and needs the
-                    // phase context the closure below captures: the
-                    // resolved options, the fingerprint flag, and the
-                    // phase-4 discovered set.
-                    let mut extra = Vec::new();
-                    reveal_opts.put(&mut extra);
-                    cfg.fingerprint.put(&mut extra);
-                    let discovered_list: Vec<Addr> = discovered_ref.iter().copied().collect();
-                    discovered_list.put(&mut extra);
-                    d.dispatch(4, "revelation", &queue, &extra)
-                }
-                None => shard::run_stealing(
-                    n_vps,
-                    queue,
-                    jobs,
-                    1,
-                    &mut merge_scratch,
-                    &make_session,
-                    &|sess, (g, x, y, d)| {
-                        reveal_one(
-                            sess,
-                            g,
-                            x,
-                            y,
-                            d,
-                            reveal_opts,
-                            discovered_ref,
-                            cfg.fingerprint,
-                        )
-                    },
-                ),
-            };
+            let (shards, probes, es) = shard::run_stealing(
+                n_vps,
+                queue,
+                jobs,
+                1,
+                &mut merge_scratch,
+                &make_session,
+                &|sess, (g, x, y, d)| {
+                    reveal_one(
+                        sess,
+                        g,
+                        x,
+                        y,
+                        d,
+                        reveal_opts,
+                        discovered_ref,
+                        cfg.fingerprint,
+                    )
+                },
+            );
             engine_totals.merge(&es);
             for (acc, p) in stolen_probes.iter_mut().zip(probes) {
                 *acc += p;
@@ -1274,8 +1205,6 @@ impl<'a> Campaign<'a> {
             snapshot_deltas,
             snapshot_checksum,
             bootstrap_paths,
-            // `run_distributed` attaches the accounting after the run.
-            dist: None,
         }
     }
 }
@@ -1421,21 +1350,6 @@ pub fn audit_input(result: &CampaignResult) -> wormhole_lint::CampaignAudit {
             .collect(),
         snapshot_checksum: Some(result.snapshot_checksum),
         snapshot_oracle: None,
-        dist: result.dist.as_ref().map(|d| wormhole_lint::DistAudit {
-            workers: d.workers,
-            phases: d
-                .phases
-                .iter()
-                .map(|p| wormhole_lint::DistPhaseAudit {
-                    phase: p.phase.to_string(),
-                    dispatched: p.dispatched,
-                    received: p.received,
-                    missing: p.missing.clone(),
-                    duplicates: p.duplicates.clone(),
-                    shard_probes: p.shard_probes,
-                })
-                .collect(),
-        }),
     }
 }
 
@@ -1817,10 +1731,13 @@ mod tests {
 
     #[test]
     fn honest_reports_are_identical_with_screening_toggled() {
-        // Honest faults can only *lose* evidence, never fabricate it,
-        // so the screen never grades Contradicted and the report —
-        // whose only veracity marker is the Contradicted suffix — must
-        // stay byte-identical whether screening ran or not.
+        // Honest faults get no stability re-trace, so screening cannot
+        // change their probing. On this quick Internet no honest
+        // re-trace repeats an address either, so nothing is graded
+        // Contradicted and the report — whose only veracity marker is
+        // the Contradicted suffix — stays byte-identical whether
+        // screening ran or not. (Larger Internets do produce such
+        // repeats; see `CampaignConfig::screen_revelations`.)
         let internet = generate(&InternetConfig::small(11));
         for scenario in [
             wormhole_net::FaultScenario::Clean,

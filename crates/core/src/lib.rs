@@ -11,8 +11,6 @@
 //!   Corroborated/Unverified/Contradicted against deceptive routers
 //!   and non-Paris load balancers;
 //! * [`campaign`] — the full HDN-driven measurement campaign;
-//! * [`distributed`] — multi-process campaign execution: shard specs,
-//!   shard files, and the deterministic file-level merge;
 //! * [`smart`] — the §8 "modified traceroute": FRPLA/RTLA as triggers,
 //!   DPR/BRPR revealing hidden hops on the fly.
 
@@ -20,7 +18,6 @@
 #![forbid(unsafe_code)]
 
 pub mod campaign;
-pub mod distributed;
 pub mod fingerprint;
 pub mod frpla;
 pub mod reveal;
@@ -33,10 +30,6 @@ pub use campaign::{
     audit_campaign, audit_input, snapshot_oracle, Campaign, CampaignConfig, CampaignReport,
     CampaignResult, CampaignTimings, CandidatePair, DegradedShard, HdnRule, Scheduling,
     SnapshotDelta,
-};
-pub use distributed::{
-    worker_main, DistError, DistSummary, DistributedOpts, PhaseShardAccount, SubstrateResolver,
-    WorkerSubstrate,
 };
 pub use fingerprint::{infer_initial_ttl, return_path_len, FingerprintTable, Signature};
 pub use frpla::{rfa_of_hop, rfa_of_trace, FrplaAnalysis, RfaDistribution, RfaSample};

@@ -98,9 +98,10 @@ pub struct RevealedTunnel {
     /// Extra probe packets spent by the revelation.
     pub extra_probes: u64,
     /// Addresses observed at more than one TTL across the re-traces.
-    /// Deterministic per-flow forwarding never revisits a router, so a
-    /// non-zero count is positive evidence of a forged loop/cycle
-    /// artifact (non-Paris load balancing).
+    /// The veracity screen reads a non-zero count as a forged
+    /// loop/cycle artifact (non-Paris load balancing). It is not proof:
+    /// an honest re-trace can also show one address at two
+    /// consecutive TTLs.
     pub revisits: usize,
     /// Non-responding hops (`*`) across the re-traces — the raw count
     /// behind the [`Confidence`] grade, kept for the star-burst screen.

@@ -28,10 +28,12 @@
 //!   [`Veracity::Corroborated`]. Anything short of that stays
 //!   [`Veracity::Unverified`].
 //!
-//! Honest fault scenarios can only *lose* evidence (loss, silence,
-//! rate limiting), never fabricate it, so an honest campaign can never
-//! produce `Contradicted` — which is what keeps honest campaign
-//! reports byte-identical with screening enabled.
+//! Honest fault scenarios (loss, silence, rate limiting) never spoof a
+//! quoted TTL or break the per-flow invariant, but the revisit screen
+//! is not specific to deception: an honest re-trace can show one
+//! address at two consecutive TTLs, which counts as a revisit. So an
+//! honest campaign *can* produce `Contradicted` — the clean paper-scale
+//! campaign grades 21 revelations that way.
 
 use crate::reveal::{Confidence, RevelationOutcome, Veracity};
 use std::collections::HashSet;

@@ -2,9 +2,7 @@
 //! run, reused by every campaign-driven experiment.
 
 use crate::util::Report;
-use wormhole_core::{
-    audit_campaign, Campaign, CampaignConfig, CampaignResult, Scheduling, WorkerSubstrate,
-};
+use wormhole_core::{audit_campaign, Campaign, CampaignConfig, CampaignResult, Scheduling};
 use wormhole_lint::Severity;
 use wormhole_net::{Asn, FaultScenario};
 use wormhole_probe::{NullSink, TraceSink};
@@ -40,8 +38,7 @@ impl Scale {
         }
     }
 
-    /// The canonical lowercase name — the inverse of [`Scale::parse`];
-    /// distributed shard specs carry it in the substrate token.
+    /// The canonical lowercase name — the inverse of [`Scale::parse`].
     pub fn name(self) -> &'static str {
         match self {
             Scale::Quick => "quick",
@@ -104,8 +101,8 @@ pub fn faults_from_env() -> FaultScenario {
     }
 }
 
-/// The generator parameters for a scale/seed pair — the one mapping a
-/// distributed master and its workers both resolve substrates through.
+/// The generator parameters for a scale/seed pair — the one mapping
+/// every substrate is generated through.
 pub fn internet_config_for(scale: Scale, seed: u64) -> InternetConfig {
     match scale {
         Scale::Quick => InternetConfig::small(seed),
@@ -116,34 +113,6 @@ pub fn internet_config_for(scale: Scale, seed: u64) -> InternetConfig {
         Scale::Tenfold => InternetConfig::tenfold(seed),
         Scale::ThousandFold => InternetConfig::thousandfold(seed),
     }
-}
-
-/// Resolves a distributed worker's `<scale>:<seed>` substrate token
-/// back to the Internet the master dispatched over, by regenerating it:
-/// generation is deterministic, and the master linted this exact
-/// substrate before dispatching. Both `wormhole-cli campaign-worker`
-/// and the bench harness's self-worker mode route through this one
-/// function, so master and workers can never drift on what a token
-/// means.
-pub fn resolve_worker_substrate(token: &str) -> Result<WorkerSubstrate, String> {
-    let (scale_name, seed) = token.split_once(':').ok_or_else(|| {
-        format!("substrate token '{token}' (expected '<scale>:<seed>', e.g. 'tenfold:8')")
-    })?;
-    let scale = Scale::parse(scale_name).ok_or_else(|| {
-        format!(
-            "unknown scale '{scale_name}' in substrate token \
-             (expected quick, paper, tenfold, thousandfold)"
-        )
-    })?;
-    let seed: u64 = seed
-        .parse()
-        .map_err(|_| format!("bad seed '{seed}' in substrate token '{token}'"))?;
-    let internet = generate(&internet_config_for(scale, seed));
-    Ok(WorkerSubstrate {
-        net: internet.net,
-        cp: internet.cp,
-        vps: internet.vps,
-    })
 }
 
 /// Generates (and statically checks) the Internet for a scale/seed

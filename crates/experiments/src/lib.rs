@@ -27,6 +27,6 @@ pub mod util;
 
 pub use context::{
     campaign_config_for, campaign_over, faults_from_env, internet_config_for, internet_for,
-    jobs_from_env, resolve_worker_substrate, scheduling_from_env, PaperContext, Scale,
+    jobs_from_env, scheduling_from_env, PaperContext, Scale,
 };
 pub use util::Report;

@@ -160,37 +160,6 @@ pub struct CampaignAudit {
     /// Whether the campaign's fault plan included deceptive behaviors
     /// (TTL spoofing, non-Paris load balancing, egress hiding).
     pub deceptive_plan: bool,
-    /// Cross-process shard accounting of a distributed run; `None`
-    /// disables A311 (the campaign ran in one process).
-    pub dist: Option<DistAudit>,
-}
-
-/// Cross-process accounting of a distributed campaign run (mirror of
-/// the core layer's `DistSummary`; the campaign lives above this
-/// crate).
-#[derive(Clone, Debug, Default)]
-pub struct DistAudit {
-    /// Worker processes the master partitioned each phase across.
-    pub workers: usize,
-    /// One entry per dispatched phase, in phase order.
-    pub phases: Vec<DistPhaseAudit>,
-}
-
-/// Shard accounting for one dispatched phase of a distributed run.
-#[derive(Clone, Debug)]
-pub struct DistPhaseAudit {
-    /// The phase label (matches degraded-shard phase names).
-    pub phase: String,
-    /// Workers spawned for the phase.
-    pub dispatched: usize,
-    /// Shard files received, validated, and merged.
-    pub received: usize,
-    /// Workers whose shard never arrived.
-    pub missing: Vec<usize>,
-    /// Worker indices received more than once.
-    pub duplicates: Vec<usize>,
-    /// Sum of per-VP probe counts over the received shard files.
-    pub shard_probes: u64,
 }
 
 /// A301: a complete pair-signature outside the Table 1 vendor taxonomy.
@@ -493,76 +462,6 @@ pub fn incremental_aggregation(a: &CampaignAudit, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// A311: cross-process shard accounting for distributed runs. Every
-/// phase must balance its ledger — `received + missing == dispatched`,
-/// no duplicate shard files — and the probes summed over the received
-/// shard files must equal the campaign total exactly (the master only
-/// accumulates probes from shards it merged, so the identity holds even
-/// when a worker was lost). A missing worker whose loss produced no
-/// degraded-shard record in the same phase means the failure was
-/// swallowed (warn).
-pub fn distributed_accounting(a: &CampaignAudit, out: &mut Vec<Diagnostic>) {
-    let Some(d) = &a.dist else { return };
-    let mut shard_probes = 0u64;
-    for p in &d.phases {
-        shard_probes += p.shard_probes;
-        if p.received + p.missing.len() != p.dispatched {
-            out.push(Diagnostic::new(
-                "A311",
-                Severity::Error,
-                Location::Network,
-                format!(
-                    "{} phase dispatched {} workers but accounted {} received + {} missing",
-                    p.phase,
-                    p.dispatched,
-                    p.received,
-                    p.missing.len()
-                ),
-                "every spawned worker must end up in exactly one of the received/missing ledgers",
-            ));
-        }
-        if !p.duplicates.is_empty() {
-            out.push(Diagnostic::new(
-                "A311",
-                Severity::Error,
-                Location::Network,
-                format!(
-                    "{} phase merged duplicate shard files from workers {:?}",
-                    p.phase, p.duplicates
-                ),
-                "a shard file must be merged at most once; de-duplicate by worker index",
-            ));
-        }
-        for &w in &p.missing {
-            let degraded = a.degraded_shards.iter().any(|(_, phase)| phase == &p.phase);
-            if !degraded {
-                out.push(Diagnostic::new(
-                    "A311",
-                    Severity::Warn,
-                    Location::Network,
-                    format!(
-                        "worker #{w} went missing in the {} phase without a degraded-shard record",
-                        p.phase
-                    ),
-                    "a lost shard must degrade its vantage points, never vanish silently",
-                ));
-            }
-        }
-    }
-    if !d.phases.is_empty() && shard_probes != a.probes {
-        out.push(Diagnostic::new(
-            "A311",
-            Severity::Error,
-            Location::Network,
-            format!(
-                "shard files account for {shard_probes} probes but the campaign total is {}",
-                a.probes
-            ),
-            "the merged report must count exactly the probes the received shards sent",
-        ));
-    }
-}
-
 /// A401: a trace spent more probes than the per-trace budget allows —
 /// the budget enforcement is broken and a hostile path can starve the
 /// campaign.
@@ -831,7 +730,6 @@ pub fn audit(net: &Network, a: &CampaignAudit) -> Vec<Diagnostic> {
     stealing_idle_shard(a, &mut out);
     method_claim_consistency(a, &mut out);
     incremental_aggregation(a, &mut out);
-    distributed_accounting(a, &mut out);
     probe_budget_overrun(a, &mut out);
     partial_revelation_accounting(a, &mut out);
     degraded_shard_consistency(a, &mut out);

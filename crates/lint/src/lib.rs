@@ -66,8 +66,8 @@ pub mod network;
 pub mod registry;
 
 pub use audit::{
-    audit, method_from_steps, CampaignAudit, DistAudit, DistPhaseAudit, MethodClaim,
-    RevelationKind, TunnelAudit, VeracityTier, RTLA_GAP_TOLERANCE, SIGNATURE_TAXONOMY,
+    audit, method_from_steps, CampaignAudit, MethodClaim, RevelationKind, TunnelAudit,
+    VeracityTier, RTLA_GAP_TOLERANCE, SIGNATURE_TAXONOMY,
 };
 pub use config::{parse_severity, LintConfig};
 pub use cross::{check_internet, check_persona, check_scenario};

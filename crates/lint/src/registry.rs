@@ -328,18 +328,6 @@ pub static RULES: &[RuleInfo] = &[
                       checksum must match a batch rebuild over the same IP paths exactly.",
     },
     RuleInfo {
-        code: "A311",
-        family: Family::Audit,
-        severity: Severity::Error,
-        summary: "distributed shard ledger out of balance",
-        explanation: "A distributed campaign partitions each stealing phase across worker \
-                      processes and merges their shard files. The ledger must balance: \
-                      received + missing == dispatched, no duplicate shard merges, and the \
-                      probes summed over received shard files equal the campaign total \
-                      exactly. A missing worker that produced no degraded-shard record in \
-                      the same phase was swallowed silently (warn).",
-    },
-    RuleInfo {
         code: "A401",
         family: Family::Robustness,
         severity: Severity::Error,

@@ -20,7 +20,6 @@ pub mod session;
 pub mod sink;
 pub mod trace;
 pub mod traceroute;
-pub mod wire;
 
 pub use multipath::{enumerate_paths, MultipathResult};
 pub use ping::{ping, PingFailure, PingMachine, PingReply, PingResult};

@@ -7,7 +7,7 @@
 //! wormhole-cli lint <config>             static analysis of a testbed config
 //! wormhole-cli campaign [quick|paper|tenfold|thousandfold]
 //!                       [--jobs N] [--faults <scenario>] [--stealing]
-//!                       [--distributed N] [--emit summary|jsonl|report]
+//!                       [--emit summary|jsonl|report]
 //!                                        full §4 campaign; scenarios:
 //!                                        clean, lossy_core, rate_limited_edge, hostile,
 //!                                        deceptive_ttl, artifact_lb, paranoid
@@ -16,12 +16,6 @@
 //!                                        trace (the same path wormhole-serve uses);
 //!                                        --emit report prints the canonical
 //!                                        byte-stable report.
-//!                                        --distributed N partitions each stealing
-//!                                        phase across N worker processes; the report
-//!                                        stays byte-identical to the in-process run.
-//! wormhole-cli campaign-worker --shard-spec <file>
-//!                                        internal: execute one distributed shard
-//!                                        spec and write the shard file back
 //! wormhole-cli list-configs              available testbed configurations
 //! ```
 
@@ -68,8 +62,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: wormhole-cli <trace|smart|reveal|lint> <config> \
          | campaign [quick|paper|tenfold|thousandfold] [--jobs N] [--faults <scenario>] \
-         [--stealing] [--distributed N] [--emit summary|jsonl|report] \
-         | campaign-worker --shard-spec <file> | list-configs\n\
+         [--stealing] [--emit summary|jsonl|report] | list-configs\n\
          configs: {}\n\
          fault scenarios: clean, lossy_core, rate_limited_edge, hostile, deceptive_ttl, \
          artifact_lb, paranoid (--faults list prints them)",
@@ -202,8 +195,8 @@ enum Emit {
     Report,
 }
 
-/// The substrate seed the CLI pins for every campaign run; workers
-/// re-derive the identical Internet from `<scale>:<seed>` tokens.
+/// The substrate seed the CLI pins for every campaign run, so every
+/// `--emit` mode reports on the same generated Internet.
 const SUBSTRATE_SEED: u64 = 8;
 
 fn cmd_campaign(args: &[String]) -> ExitCode {
@@ -214,8 +207,6 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
     let mut faults = wormhole::experiments::faults_from_env();
     let mut scheduling = wormhole::experiments::scheduling_from_env();
     let mut emit = Emit::Summary;
-    let mut distributed: Option<usize> = None;
-    let mut chaos_abort_worker: Option<usize> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -228,23 +219,6 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
                 Some(n) => jobs = n,
                 None => {
                     eprintln!("--jobs needs a worker count (0 = all cores)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--distributed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => distributed = Some(n),
-                _ => {
-                    eprintln!("--distributed needs a worker-process count (>= 1)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            // Test/CI hook: tell the given distributed worker index to
-            // abort during the probe phase (exercises the missing-shard
-            // degradation path).
-            "--chaos-abort-worker" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => chaos_abort_worker = Some(n),
-                None => {
-                    eprintln!("--chaos-abort-worker needs a worker index");
                     return ExitCode::FAILURE;
                 }
             },
@@ -283,13 +257,6 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
             }
         }
     }
-    if let Some(workers) = distributed {
-        return cmd_campaign_distributed(scale, jobs, faults, emit, workers, chaos_abort_worker);
-    }
-    if chaos_abort_worker.is_some() {
-        eprintln!("--chaos-abort-worker only applies to --distributed runs");
-        return ExitCode::FAILURE;
-    }
     eprintln!(
         "running the §4 campaign at {scale:?} scale with jobs={jobs} ({scheduling:?} scheduling) \
          under the '{}' scenario…",
@@ -299,7 +266,11 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
         Emit::Summary => {
             let t0 = std::time::Instant::now();
             let ctx = wormhole::experiments::PaperContext::generate_full(
-                scale, 8, jobs, faults, scheduling,
+                scale,
+                SUBSTRATE_SEED,
+                jobs,
+                faults,
+                scheduling,
             );
             let elapsed = t0.elapsed().as_secs_f64();
             println!(
@@ -352,130 +323,6 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `campaign --distributed N`: partition each stealing phase across N
-/// worker processes (this same binary, `campaign-worker` subcommand)
-/// and merge their shard files. The report stays byte-identical to the
-/// in-process `--stealing` run.
-fn cmd_campaign_distributed(
-    scale: wormhole::experiments::Scale,
-    jobs: usize,
-    faults: wormhole::net::FaultScenario,
-    emit: Emit,
-    workers: usize,
-    chaos_abort_worker: Option<usize>,
-) -> ExitCode {
-    let exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("cannot locate the worker binary: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let internet = wormhole::experiments::internet_for(scale, SUBSTRATE_SEED);
-    let cfg = wormhole::experiments::campaign_config_for(
-        scale,
-        jobs,
-        faults,
-        wormhole::core::Scheduling::Stealing,
-    );
-    let work_dir = std::env::temp_dir().join(format!("wormhole-dist-{}", std::process::id()));
-    let opts = wormhole::core::DistributedOpts {
-        workers,
-        worker_cmd: vec![exe.to_string_lossy().into_owned()],
-        substrate_token: format!("{}:{SUBSTRATE_SEED}", scale.name()),
-        work_dir: work_dir.clone(),
-        keep_files: false,
-        chaos_abort_worker,
-    };
-    eprintln!(
-        "running the §4 campaign at {scale:?} scale across {workers} worker processes \
-         under the '{}' scenario…",
-        faults.name()
-    );
-    let campaign =
-        wormhole::core::Campaign::new(&internet.net, &internet.cp, internet.vps.clone(), cfg);
-    let result = match emit {
-        Emit::Jsonl => {
-            let stdout = std::io::stdout();
-            let mut sink = wormhole::probe::JsonlSink::new(stdout.lock()).with_stats();
-            let result = campaign.run_distributed(&mut sink, &opts);
-            drop(sink);
-            if let Ok(r) = &result {
-                println!(
-                    "{{\"type\":\"done\",\"traces\":{},\"probes\":{},\"snapshot_checksum\":{}}}",
-                    r.traces.len(),
-                    r.probes,
-                    r.snapshot_checksum
-                );
-            }
-            result
-        }
-        Emit::Summary | Emit::Report => {
-            let mut sink = wormhole::probe::NullSink;
-            campaign.run_distributed(&mut sink, &opts)
-        }
-    };
-    let _ = std::fs::remove_dir(&work_dir);
-    let result = match result {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("distributed campaign failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // The shard-ledger accounting goes to stderr so `--emit report`
-    // stdout stays canonical (byte-identical to the in-process run).
-    if let Some(dist) = &result.dist {
-        for p in &dist.phases {
-            eprintln!(
-                "phase {:<12} dispatched {} / received {} / missing {:?} ({} shard probes)",
-                p.phase, p.dispatched, p.received, p.missing, p.shard_probes
-            );
-        }
-    }
-    for d in &result.degraded_shards {
-        eprintln!("degraded shard: vp {} lost in the {} phase", d.vp, d.phase);
-    }
-    match emit {
-        Emit::Summary => {
-            println!(
-                "snapshot: {} nodes, {} HDNs; {} targets; {} candidate pairs; \
-                 {} tunnels revealed; {} probes",
-                result.snapshot.num_nodes(),
-                result.hdns.len(),
-                result.targets.len(),
-                result.unique_pairs().len(),
-                result.tunnels().count(),
-                result.probes
-            );
-        }
-        Emit::Report => print!("{}", result.report()),
-        Emit::Jsonl => {}
-    }
-    ExitCode::SUCCESS
-}
-
-/// `campaign-worker --shard-spec <file>`: the worker half of
-/// `campaign --distributed`. Decodes the spec, re-derives the identical
-/// substrate from its `<scale>:<seed>` token, executes its task subset,
-/// and writes the shard file back.
-fn cmd_campaign_worker(args: &[String]) -> ExitCode {
-    let spec = match args {
-        [flag, path] if flag == "--shard-spec" => std::path::Path::new(path),
-        _ => {
-            eprintln!("usage: wormhole-cli campaign-worker --shard-spec <file>");
-            return ExitCode::FAILURE;
-        }
-    };
-    match wormhole::core::worker_main(spec, &wormhole::experiments::resolve_worker_substrate) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("campaign-worker: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -486,7 +333,6 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Some("campaign") => cmd_campaign(&args[1..]),
-        Some("campaign-worker") => cmd_campaign_worker(&args[1..]),
         Some(cmd @ ("trace" | "smart" | "reveal" | "lint")) => {
             let Some(config) = args.get(1) else {
                 return usage();

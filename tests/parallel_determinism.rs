@@ -208,6 +208,46 @@ fn golden_reports_quick_scale() {
     assert_golden(Scale::Quick);
 }
 
+/// Runs `wormhole-cli campaign` with `args`, with the environment
+/// knobs that would override its flags cleared.
+fn cli_campaign(args: &[&str]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_wormhole-cli"))
+        .arg("campaign")
+        .args(args)
+        .env_remove("WORMHOLE_JOBS")
+        .env_remove("WORMHOLE_SCHED")
+        .env_remove("WORMHOLE_FAULTS")
+        .output()
+        .expect("wormhole-cli runs")
+}
+
+#[test]
+fn cli_report_matches_the_golden_checksums() {
+    for &(_, name, scheduling, want) in GOLDEN.iter().filter(|row| row.0 == Scale::Quick) {
+        let mut args = vec!["quick", "--jobs", "1", "--faults", name];
+        if scheduling == Scheduling::Stealing {
+            args.push("--stealing");
+        }
+        args.extend(["--emit", "report"]);
+        let out = cli_campaign(&args);
+        assert!(out.status.success(), "{args:?} failed: {out:?}");
+        let got = checksum(&out.stdout);
+        assert_eq!(
+            got, want,
+            "{args:?}: stdout checksum {got:#018x}, golden {want:#018x}"
+        );
+    }
+    // `--distributed` is not a campaign flag; it is refused like any
+    // other unknown argument.
+    let out = cli_campaign(&["quick", "--distributed", "2"]);
+    assert!(!out.status.success(), "--distributed was accepted");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown campaign argument"),
+        "unexpected stderr: {stderr}"
+    );
+}
+
 #[test]
 fn golden_reports_paper_scale() {
     assert_golden(Scale::Paper);
