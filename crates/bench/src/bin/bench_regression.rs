@@ -8,8 +8,9 @@
 //! ```
 //!
 //! Wall times are gated too: each scale's substrate build (topology
-//! plus control plane) and each run's post-merge analysis may not grow
-//! more than 20% over the baseline, above a small absolute slack.
+//! plus control plane), its lint-before-simulate pass
+//! (`lint::check_internet`) and each run's post-merge analysis may not
+//! grow more than 20% over the baseline, above a small absolute slack.
 //!
 //! The gate also fails when any recording-off packet walk — at either
 //! scale — performs a heap allocation, regardless of throughput: the
@@ -41,7 +42,8 @@ fn check(name: &str, baseline: f64, fresh: f64, failures: &mut Vec<String>) {
 /// Wall-time gate: `what` seconds may not grow more than 20% over the
 /// committed baseline, with an absolute slack floor so
 /// microsecond-scale rows on small runs never flap. Guards the
-/// incremental-aggregation analysis time and the substrate build.
+/// incremental-aggregation analysis time, the substrate build and the
+/// lint pass.
 fn check_seconds(name: &str, what: &str, baseline: f64, fresh: f64, failures: &mut Vec<String>) {
     let ceiling = baseline * (1.0 + MAX_REGRESSION) + TIME_SLACK_SECONDS;
     if fresh > ceiling {
@@ -77,6 +79,7 @@ fn main() -> ExitCode {
     }
     for s in &scales {
         println!("substrate build {}: {:.3}s", s.scale, s.build_seconds);
+        println!("lint pass {}: {:.3}s", s.scale, s.lint_seconds);
     }
     for w in &engine.walks {
         println!(
@@ -140,18 +143,23 @@ fn main() -> ExitCode {
                     )),
                 }
             }
-            for (scale, base_build) in measure::parse_build_baseline(&json) {
-                let name = format!("substrate build {scale}");
-                match scales.iter().find(|s| s.scale == scale) {
-                    Some(s) => {
-                        check_seconds(&name, "build", base_build, s.build_seconds, &mut failures)
+            let mut gate_wall =
+                |row: &str, what: &str, key: &str, fresh: fn(&measure::ScaleBench) -> f64| {
+                    for (scale, base) in measure::parse_scale_seconds(&json, key) {
+                        let name = format!("{row} {scale}");
+                        match scales.iter().find(|s| s.scale == scale) {
+                            Some(s) => check_seconds(&name, what, base, fresh(s), &mut failures),
+                            None => failures.push(format!(
+                                "{name}: committed baseline has no fresh measurement — the scale \
+                             matrix shrank; refresh the baseline with --write if that was intended"
+                            )),
+                        }
                     }
-                    None => failures.push(format!(
-                        "{name}: committed baseline has no fresh measurement — the scale matrix \
-                         shrank; refresh the baseline with --write if that was intended"
-                    )),
-                }
-            }
+                };
+            gate_wall("substrate build", "build", "build_seconds", |s| {
+                s.build_seconds
+            });
+            gate_wall("lint pass", "lint", "lint_seconds", |s| s.lint_seconds);
         }
         None => {
             failures.push("BENCH_campaign.json missing — commit a baseline via --write".to_string())

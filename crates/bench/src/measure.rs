@@ -50,6 +50,9 @@ pub struct ScaleBench {
     /// Wall seconds to generate the Internet, control plane included
     /// (fastest of three builds).
     pub build_seconds: f64,
+    /// Wall seconds of the lint-before-simulate pass over it,
+    /// `lint::check_internet` (fastest of three runs).
+    pub lint_seconds: f64,
     /// The timed runs, in matrix order.
     pub runs: Vec<CampaignRun>,
 }
@@ -107,6 +110,19 @@ pub fn generate_timed(cfg: &InternetConfig) -> (Internet, f64) {
     (internet.expect("three builds produce an Internet"), best)
 }
 
+/// Times `lint::check_internet` over `internet` — the static pass every
+/// one-shot run makes before it simulates — keeping the fastest of
+/// three runs, like [`generate_timed`].
+pub fn lint_timed(internet: &Internet) -> f64 {
+    (0..3)
+        .map(|_| {
+            let t0 = Instant::now();
+            std::hint::black_box(wormhole_lint::check_internet(internet));
+            t0.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// Times one §4 campaign over an already-generated Internet. The
 /// campaign is deterministic, so only the timing varies between runs;
 /// it runs three times and the fastest wall time is kept, which keeps
@@ -152,7 +168,8 @@ pub fn time_campaign(
     best.expect("three runs produce a fastest run")
 }
 
-/// Runs the `(jobs, scenario, scheduling)` matrix over one Internet.
+/// Times the lint pass ([`lint_timed`]) and runs the `(jobs, scenario,
+/// scheduling)` matrix over one Internet.
 pub fn measure_scale(
     scale: &'static str,
     internet: &Internet,
@@ -164,6 +181,7 @@ pub fn measure_scale(
         transit_ases: internet.personas.len(),
         routers: internet.net.num_routers(),
         build_seconds,
+        lint_seconds: lint_timed(internet),
         runs: matrix
             .iter()
             .map(|&(jobs, scenario, sched)| time_campaign(internet, jobs, scenario, sched))
@@ -179,7 +197,8 @@ pub fn summary_lines(scales: &[ScaleBench]) -> Vec<String> {
             s.runs.iter().map(move |r| {
                 format!(
                     "campaign {} jobs={} faults={} sched={}: {:.0} probes/sec \
-                     ({:.3}s wall; probe {:.3}s, merge {:.3}s, analysis {:.3}s; build {:.3}s)",
+                     ({:.3}s wall; probe {:.3}s, merge {:.3}s, analysis {:.3}s; build {:.3}s, \
+                     lint {:.3}s)",
                     s.scale,
                     r.jobs,
                     r.faults,
@@ -189,7 +208,8 @@ pub fn summary_lines(scales: &[ScaleBench]) -> Vec<String> {
                     r.probe_seconds,
                     r.merge_seconds,
                     r.analysis_seconds,
-                    s.build_seconds
+                    s.build_seconds,
+                    s.lint_seconds
                 )
             })
         })
@@ -224,12 +244,13 @@ pub fn campaign_json(scales: &[ScaleBench]) -> String {
                 .collect();
             format!(
                 "    {{\n      \"scale\": \"{}\",\n      \"transit_ases\": {},\n      \
-                 \"routers\": {},\n      \"build_seconds\": {:.6},\n      \"runs\": [\n{}\n      \
-                 ]\n    }}",
+                 \"routers\": {},\n      \"build_seconds\": {:.6},\n      \
+                 \"lint_seconds\": {:.6},\n      \"runs\": [\n{}\n      ]\n    }}",
                 s.scale,
                 s.transit_ases,
                 s.routers,
                 s.build_seconds,
+                s.lint_seconds,
                 runs.join(",\n")
             )
         })
@@ -429,18 +450,18 @@ pub fn parse_campaign_baseline(json: &str) -> Vec<BaselineRun> {
     out
 }
 
-/// The committed build wall seconds of every scale section of a
-/// `BENCH_campaign.json` document, as `(scale, build_seconds)`. Keys on
-/// the `"build_seconds":` line, which the emitter writes after the
-/// section's `"scale":` line.
-pub fn parse_build_baseline(json: &str) -> Vec<(String, f64)> {
+/// A committed per-scale wall time of a `BENCH_campaign.json` document
+/// — `key` is `build_seconds` or `lint_seconds` — as `(scale, seconds)`
+/// for every scale section that has it. Keys on the `"<key>":` line,
+/// which the emitter writes after the section's `"scale":` line.
+pub fn parse_scale_seconds(json: &str, key: &str) -> Vec<(String, f64)> {
     let mut scale = None;
     let mut out = Vec::new();
     for line in json.lines() {
         if let Some(s) = str_field(line, "scale") {
             scale = Some(s);
         }
-        if let (Some(s), Some(secs)) = (&scale, num_field(line, "build_seconds")) {
+        if let (Some(s), Some(secs)) = (&scale, num_field(line, key)) {
             out.push((s.clone(), secs));
         }
     }
@@ -505,6 +526,7 @@ mod tests {
             transit_ases: 100,
             routers: 3694,
             build_seconds: 1.5,
+            lint_seconds: 0.25,
             runs: vec![
                 CampaignRun {
                     jobs: 1,
@@ -548,8 +570,12 @@ mod tests {
         assert_eq!(runs[1].scheduling, "stealing");
         assert!((runs[1].analysis_seconds.expect("analysis row") - 0.003).abs() < 1e-9);
         assert_eq!(
-            parse_build_baseline(&json),
+            parse_scale_seconds(&json, "build_seconds"),
             vec![("tenfold".to_string(), 1.5)]
+        );
+        assert_eq!(
+            parse_scale_seconds(&json, "lint_seconds"),
+            vec![("tenfold".to_string(), 0.25)]
         );
     }
 

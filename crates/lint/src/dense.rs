@@ -3,15 +3,15 @@
 //! PR 5 moved the entire packet-walk hot path onto flattened
 //! control-plane tables (per-router LFIB label windows + overflow,
 //! `te_heads`/`te_routes` CSR, `fib_base`/`fib_spans`/`fib_pool`,
-//! [`LdpBindings`] and [`AsIgp`] CSRs, build-time destination-resolution
-//! tables). These rules cross-check every flat table against the
-//! logical model it encodes — re-derived through the same oracles
-//! [`ControlPlane::build`] itself uses ([`logical_fib`], [`te_program`],
-//! [`ldp_lfib_hops`], `LdpBindings::compute`) — and against its own
-//! structural invariants. The external-route class tables (D513) are
-//! checked against an independent per-pair oracle instead
-//! ([`wormhole_net::hot_potato_route`]), since the build computes them
-//! per next-hop class rather than per pair.
+//! [`LdpBindings`] and [`AsIgp`](wormhole_net::AsIgp) CSRs, build-time
+//! destination-resolution tables). These rules cross-check every flat
+//! table against the logical model it encodes — re-derived through the
+//! same oracles [`ControlPlane::build`] itself uses ([`logical_fib`],
+//! [`te_program`], [`ldp_lfib_hop`], `LdpBindings::compute`) — and
+//! against its own structural invariants. The external-route class
+//! tables (D513) are checked against an independent per-pair oracle
+//! instead ([`wormhole_net::hot_potato_route`]), since the build
+//! computes them per next-hop class rather than per pair.
 //!
 //! The checks are *staged*: a malformed CSR shape (D501/D503/D505/D506/
 //! D508 structure, D509 trie) gates the content comparison that would
@@ -20,17 +20,13 @@
 //! pins for every corruption class.
 
 use crate::diag::{Diagnostic, Location, Severity};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use wormhole_net::igp::{edge_metric, INF};
 use wormhole_net::{
-    hot_potato_candidates, hot_potato_choice, ldp_lfib_hops, logical_fib, te_program, Addr,
-    ControlPlane, ExtRoute, Label, LabelValue, LdpBindings, LfibEntry, Network, RouterId,
+    hot_potato_candidates, hot_potato_choice, ldp_lfib_hop, logical_fib, te_program, Addr,
+    ControlPlane, ExtRoute, Fib, Label, LabelValue, LdpBindings, LfibEntry, Network, RouterId,
     OWNER_PAGE_SIZE,
 };
-
-/// One router's logical FIB: per prefix slot, the deduplicated
-/// `(iface, next)` first hops — the shape [`logical_fib`] returns.
-type RouterFib = Vec<Vec<(u32, RouterId)>>;
 
 fn err(code: &'static str, location: Location, message: String, hint: &str) -> Diagnostic {
     Diagnostic::new(code, Severity::Error, location, message, hint)
@@ -385,85 +381,115 @@ fn lfib_shape(net: &Network, cp: &ControlPlane, out: &mut Vec<Diagnostic>) -> bo
     all_ok
 }
 
+/// One entry the logical program installs at a router (see
+/// [`lfib_agreement`]).
+#[derive(Copy, Clone)]
+enum Expected<'a> {
+    /// The LDP entry for FEC `slot`: its branches are the router's FIB
+    /// next hops for the slot, labelled per the fresh bindings.
+    Ldp(u32),
+    /// A TE transit entry, verbatim from the tunnel program.
+    Te(&'a LfibEntry),
+}
+
 /// D507: the installed LFIB must equal the logical program — LDP
 /// entries derived from recomputed bindings over the logical FIB, plus
 /// the TE transit chain. Anything else is stale, missing, or rewritten.
+///
+/// Each router's expected entries are collected into a label-sorted
+/// list, reused across routers; an installed entry is found by binary
+/// search and its LDP branches are compared as they are derived, so the
+/// check allocates nothing per entry.
 fn lfib_agreement(
     net: &Network,
     cp: &ControlPlane,
     fresh: &LdpBindings,
-    fib: &[RouterFib],
+    fib: &Fib,
     out: &mut Vec<Diagnostic>,
 ) {
-    let Ok((te_transit, _)) = te_program(net) else {
+    let Ok((mut te_transit, _)) = te_program(net) else {
         return;
     };
-    let mut expected: Vec<HashMap<u32, LfibEntry>> = vec![HashMap::new(); net.num_routers()];
+    // Stable, so each router's TE entries keep their install order.
+    te_transit.sort_by_key(|&(rid, _, _)| rid);
+    let mut te = te_transit.iter().peekable();
+    let mut want: Vec<(u32, Expected)> = Vec::new();
+    let mut seen: Vec<bool> = Vec::new();
     for r in net.routers() {
+        want.clear();
         for (slot, value) in fresh.advertisements(r.id) {
-            let LabelValue::Real(in_label) = value else {
-                continue;
-            };
-            let hops = ldp_lfib_hops(fresh, slot, &fib[r.id.index()][slot as usize]);
-            if !hops.is_empty() {
-                expected[r.id.index()].insert(
-                    in_label.0,
-                    LfibEntry {
-                        slot,
-                        nexthops: hops,
-                    },
-                );
+            if let LabelValue::Real(in_label) = value {
+                if !fib.entry(r.id, slot).is_empty() {
+                    want.push((in_label.0, Expected::Ldp(slot)));
+                }
             }
         }
-    }
-    for (rid, label, entry) in te_transit {
-        expected[rid.index()].insert(label.0, entry);
-    }
-    for r in net.routers() {
-        let want = &expected[r.id.index()];
-        let mut seen: HashSet<u32> = HashSet::with_capacity(want.len());
+        while let Some((_, label, entry)) = te.next_if(|t| t.0 == r.id) {
+            want.push((label.0, Expected::Te(entry)));
+        }
+        // Of several entries for one label, the last installed wins, as
+        // in the build: LDP in advertisement order, then TE.
+        want.sort_by_key(|&(label, _)| label);
+        let mut kept = 0;
+        for i in 0..want.len() {
+            if want.get(i + 1).is_none_or(|next| next.0 != want[i].0) {
+                want[kept] = want[i];
+                kept += 1;
+            }
+        }
+        want.truncate(kept);
+        seen.clear();
+        seen.resize(want.len(), false);
         for (label, installed) in cp.lfib_entries(r.id) {
-            seen.insert(label.0);
-            match want.get(&label.0) {
-                None => out.push(err(
+            let Ok(i) = want.binary_search_by_key(&label.0, |&(l, _)| l) else {
+                out.push(err(
                     "D507",
                     Location::Router(r.name.clone()),
                     format!("stale LFIB entry for label {label}: no LDP binding or TE tunnel produces it"),
                     "nothing can address this entry correctly; it was injected or left behind",
-                )),
-                Some(e) if e != installed => out.push(err(
+                ));
+                continue;
+            };
+            seen[i] = true;
+            let agrees = match want[i].1 {
+                Expected::Ldp(slot) => {
+                    let hops = fib.entry(r.id, slot);
+                    installed.slot == slot
+                        && installed.nexthops.len() == hops.len()
+                        && installed
+                            .nexthops
+                            .iter()
+                            .zip(hops)
+                            .all(|(got, &hop)| *got == ldp_lfib_hop(fresh, slot, hop))
+                }
+                Expected::Te(entry) => installed == entry,
+            };
+            if !agrees {
+                out.push(err(
                     "D507",
                     Location::Router(r.name.clone()),
                     format!("LFIB entry for label {label} disagrees with the logical program"),
                     "the entry was rewritten after build; LSPs through it break mid-path",
-                )),
-                Some(_) => {}
-            }
-        }
-        for &label in want.keys() {
-            if !seen.contains(&label) {
-                out.push(err(
-                    "D507",
-                    Location::Router(r.name.clone()),
-                    format!(
-                        "missing LFIB entry for label {}: the logical program installs it",
-                        Label(label)
-                    ),
-                    "labeled packets for this FEC would die here with an unlabeled fallback",
                 ));
             }
+        }
+        for (&(label, _), _) in want.iter().zip(&seen).filter(|&(_, &seen)| !seen) {
+            out.push(err(
+                "D507",
+                Location::Router(r.name.clone()),
+                format!(
+                    "missing LFIB entry for label {}: the logical program installs it",
+                    Label(label)
+                ),
+                "labeled packets for this FEC would die here with an unlabeled fallback",
+            ));
         }
     }
 }
 
 /// D508: FIB CSR shape (one span per slot, spans tiling the pool) and,
 /// when the structure holds, dense/logical content agreement.
-fn fib_check(
-    net: &Network,
-    cp: &ControlPlane,
-    fib: Option<&[RouterFib]>,
-    out: &mut Vec<Diagnostic>,
-) {
+fn fib_check(net: &Network, cp: &ControlPlane, fib: Option<&Fib>, out: &mut Vec<Diagnostic>) {
     let v = cp.dense_view();
     let mut ok = check_csr_offsets(
         "D508",
@@ -520,9 +546,9 @@ fn fib_check(
     }
     let mut reported = 0;
     for r in net.routers() {
-        for (slot, hops) in fib[r.id.index()].iter().enumerate() {
-            let dense = cp.fib_entry(r.id, slot as u32).unwrap_or(&[]);
-            if dense != hops.as_slice() && reported < 8 {
+        for slot in 0..fib.slots(r.id) as u32 {
+            let dense = cp.fib_entry(r.id, slot).unwrap_or(&[]);
+            if dense != fib.entry(r.id, slot) && reported < 8 {
                 out.push(err(
                     "D508",
                     Location::Router(r.name.clone()),
@@ -987,6 +1013,13 @@ fn ext_routes(net: &Network, cp: &ControlPlane, igp_ok: bool, out: &mut Vec<Diag
 /// Runs every `D5xx` rule over a built control plane. Shape rules run
 /// unconditionally; content rules are gated on the shapes they read
 /// through, so each corruption is reported by the rule that owns it.
+///
+/// The content rules fall into two independent halves — the label path
+/// (D504, D508, D507: LDP bindings, FIB, LFIB) and the address path
+/// (D510–D513: destination resolution, owner hash and index, external
+/// routes) — which run side by side on two scoped threads. Each half
+/// writes its own list and the lists are joined in that fixed order, so
+/// the findings do not depend on scheduling.
 pub fn verify_dense(net: &Network, cp: &ControlPlane) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let te_ok = te_csr_shape(net, cp, &mut out);
@@ -997,20 +1030,25 @@ pub fn verify_dense(net: &Network, cp: &ControlPlane) -> Vec<Diagnostic> {
     if te_ok {
         te_agreement(net, cp, &mut out);
     }
-    let fresh = LdpBindings::compute(net, &cp.as_prefixes);
-    if ldp_ok {
-        ldp_agreement(net, cp, &fresh, &mut out);
-    }
-    let fib = igp_ok.then(|| logical_fib(net, &cp.igp, &cp.as_prefixes));
-    fib_check(net, cp, fib.as_deref(), &mut out);
-    if let Some(fib) = &fib {
-        if lfib_ok {
+    let mut addresses = Vec::new();
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let out = &mut addresses;
+            dst_resolution(net, cp, &trie_ok, out);
+            owner_hash(net, cp, &trie_ok, out);
+            owner_index(net, cp, out);
+            ext_routes(net, cp, igp_ok, out);
+        });
+        let fresh = LdpBindings::compute(net, &cp.as_prefixes);
+        if ldp_ok {
+            ldp_agreement(net, cp, &fresh, &mut out);
+        }
+        let fib = igp_ok.then(|| logical_fib(net, &cp.igp, &cp.as_prefixes));
+        fib_check(net, cp, fib.as_ref(), &mut out);
+        if let (Some(fib), true) = (&fib, lfib_ok) {
             lfib_agreement(net, cp, &fresh, fib, &mut out);
         }
-    }
-    dst_resolution(net, cp, &trie_ok, &mut out);
-    owner_hash(net, cp, &trie_ok, &mut out);
-    owner_index(net, cp, &mut out);
-    ext_routes(net, cp, igp_ok, &mut out);
+    });
+    out.append(&mut addresses);
     out
 }

@@ -19,8 +19,8 @@
 use std::collections::BTreeSet;
 use wormhole_lint as lint;
 use wormhole_net::{
-    Addr, ControlPlane, ExtRoute, Label, LabelValue, LfibEntry, LfibHop, Network, PoppingMode,
-    RouterId,
+    Addr, ControlPlane, ExtRoute, Label, LabelAction, LabelValue, LfibEntry, LfibHop, Network,
+    PoppingMode, RouterId,
 };
 use wormhole_topo::{gns3_fig2, gns3_fig2_te, Fig2Config};
 
@@ -174,6 +174,40 @@ fn classes() -> Vec<Class> {
             },
         },
         Class {
+            name: "rewrite-lfib-entry",
+            rule: "D507",
+            build: ldp_plane,
+            corrupt: |net, cp| {
+                // An installed LDP swap now pushes the wrong outgoing
+                // label: the entry exists, its content disagrees.
+                let (rid, label, mut entry) = ldp_swap_entry(net, cp);
+                let hop = &mut entry.nexthops[0];
+                let LabelAction::Swap(out) = hop.action else {
+                    unreachable!()
+                };
+                hop.action = LabelAction::Swap(Label(out.0 + 977));
+                cp.inject_lfib_entry(rid, label, entry);
+            },
+        },
+        Class {
+            name: "move-lfib-entry",
+            rule: "D507",
+            build: ldp_plane,
+            corrupt: move_lfib_entry,
+        },
+        Class {
+            name: "retarget-fib-branch",
+            rule: "D508",
+            build: ldp_plane,
+            corrupt: |_, cp| {
+                // Same spans, same tiling: only one branch's interface
+                // changes, so just the content comparison can see it.
+                let pool = cp.fib_pool_mut();
+                assert!(!pool.is_empty(), "some FIB span is populated");
+                pool[0].0 += 1;
+            },
+        },
+        Class {
             name: "truncate-fib-span",
             rule: "D508",
             build: ldp_plane,
@@ -264,6 +298,66 @@ fn classes() -> Vec<Class> {
             },
         },
     ]
+}
+
+/// The first installed LDP entry (router, label, entry) whose first
+/// branch swaps to a real label.
+fn ldp_swap_entry(net: &Network, cp: &ControlPlane) -> (RouterId, Label, LfibEntry) {
+    net.routers()
+        .iter()
+        .find_map(|r| {
+            cp.lfib_entries(r.id)
+                .find(|(_, e)| matches!(e.nexthops[0].action, LabelAction::Swap(_)))
+                .map(|(label, e)| (r.id, label, e.clone()))
+        })
+        .expect("an LSR swaps some LDP label")
+}
+
+/// Moves one LDP window entry to a far overflow label without touching
+/// the entry count: the LFIB stays well-formed (D506 is quiet), but the
+/// logical program installs the old label and nothing produces the new
+/// one.
+fn move_lfib_entry(net: &mut Network, cp: &mut ControlPlane) {
+    let (rid, label, entry) = ldp_swap_entry(net, cp);
+    let i = label
+        .0
+        .checked_sub(cp.lfib_raw(rid).lo)
+        .expect("LDP labels live in the window");
+    cp.lfib_window_mut(rid)[i as usize] = None;
+    let overflow = cp.lfib_overflow_mut(rid);
+    let pos = overflow
+        .binary_search_by_key(&MOVED_LABEL, |&(l, _)| l)
+        .unwrap_err();
+    overflow.insert(pos, (MOVED_LABEL, entry));
+}
+
+/// Where [`move_lfib_entry`] puts the entry: far past any LDP run and
+/// below the RSVP-TE range.
+const MOVED_LABEL: u32 = 400_001;
+
+/// D507 reports both halves of a moved entry: the label nothing
+/// produces, and the label the logical program installs but the LFIB
+/// no longer holds.
+#[test]
+fn moved_lfib_entry_is_reported_stale_and_missing() {
+    let (mut net, mut cp) = ldp_plane();
+    move_lfib_entry(&mut net, &mut cp);
+    let diags = lint::verify_dense(&net, &cp);
+    let has = |prefix: &str| {
+        diags
+            .iter()
+            .any(|d| d.code == "D507" && d.message.starts_with(prefix))
+    };
+    assert!(
+        has("stale LFIB entry for label"),
+        "{}",
+        lint::render(&diags)
+    );
+    assert!(
+        has("missing LFIB entry for label"),
+        "{}",
+        lint::render(&diags)
+    );
 }
 
 /// Every corruption class starts clean, then is caught by exactly the
@@ -366,8 +460,8 @@ fn audit_corruption_caught_by_exactly_the_intended_rule() {
     );
     let info = lint::rule(class.rule).expect("class rule registered");
     assert_eq!(info.family, lint::Family::Audit, "{}", class.name);
-    // 13 dense classes + this one.
-    assert_eq!(classes().len() + 1, 14);
+    // 16 dense classes + this one.
+    assert_eq!(classes().len() + 1, 17);
 }
 
 /// A clean screened-campaign snapshot the V6xx classes corrupt: one
@@ -502,7 +596,7 @@ fn every_veracity_rule_fired_by_a_corruption_class() {
         let info = lint::rule(c.rule).expect("class rule registered");
         assert_eq!(info.family, lint::Family::Veracity, "{}", c.name);
     }
-    assert_eq!(classes().len() + 1 + v6_classes().len(), 20);
+    assert_eq!(classes().len() + 1 + v6_classes().len(), 23);
 }
 
 /// Corrupted planes also fail the combined `check_plane` gate — the

@@ -9,7 +9,7 @@
 use crate::error::NetError;
 use crate::ids::Asn;
 use crate::net::{Network, RelKind};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 /// Preference class of an AS-level route, lower is better
 /// (customer > peer > provider in operator revenue terms).
@@ -30,7 +30,7 @@ pub enum RouteClass {
 /// pairs but only about a thousand distinct next-hop sets, so the table
 /// is one dense matrix of set ids over one flat pool of sorted sets
 /// instead of a heap allocation per pair.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bgp {
     /// Number of ASes: the side of [`Self::set_of`].
     n: usize,
@@ -95,12 +95,17 @@ fn build_adj(net: &Network) -> Result<AsAdj, NetError> {
     Ok(AsAdj { neighbors })
 }
 
+/// Route classes in preference order: the index is `class as usize`.
+const CLASSES: [RouteClass; 3] = [RouteClass::Customer, RouteClass::Peer, RouteClass::Provider];
+
 /// Reusable buffers of the per-destination Dijkstra, so computing all
 /// destinations allocates once rather than once per AS pair.
 struct DestScratch {
     best: Vec<Option<(RouteClass, u32)>>,
     nexts: Vec<Vec<usize>>,
-    heap: BinaryHeap<std::cmp::Reverse<(RouteClass, u32, usize)>>,
+    /// `buckets[class][hops]`: the ASes reached at that label of the
+    /// `(class, hops)` lattice, waiting to export.
+    buckets: [Vec<Vec<usize>>; 3],
 }
 
 impl DestScratch {
@@ -108,7 +113,7 @@ impl DestScratch {
         DestScratch {
             best: vec![None; n],
             nexts: vec![Vec::new(); n],
-            heap: BinaryHeap::new(),
+            buckets: Default::default(),
         }
     }
 
@@ -118,95 +123,199 @@ impl DestScratch {
     /// An AS `x` exports its route to neighbor `y` only when `y` is its
     /// customer, or when `x`'s own route is customer-learned / originated
     /// — the classic valley-free export rule.
+    ///
+    /// An export never lowers the class and always adds a hop, so every
+    /// label it produces is strictly above the one being settled: the
+    /// priority queue is a bucket per `(class, hops)`, drained in
+    /// lexicographic order.
     fn run(&mut self, adj: &AsAdj, dst: usize) {
-        use std::cmp::Reverse;
         self.best.fill(None);
         for hops in &mut self.nexts {
             hops.clear();
         }
-        self.heap.clear();
         self.best[dst] = Some((RouteClass::Customer, 0));
-        self.heap.push(Reverse((RouteClass::Customer, 0u32, dst)));
-        while let Some(Reverse((class, hops, x))) = self.heap.pop() {
-            if self.best[x] != Some((class, hops)) {
-                continue; // superseded
-            }
-            for &(y, class_at_y) in &adj.neighbors[x] {
-                // Export rule: x -> y allowed if y is x's customer, i.e.
-                // y would class the route "Provider"; otherwise only
-                // customer routes (and the origin's own) are exported.
-                let exporting_down = class_at_y == RouteClass::Provider;
-                if !exporting_down && class != RouteClass::Customer {
-                    continue;
-                }
-                let cand = (class_at_y, hops + 1);
-                match self.best[y] {
-                    Some(cur) if cur < cand => {}
-                    Some(cur) if cur == cand => {
-                        if !self.nexts[y].contains(&x) {
-                            self.nexts[y].push(x);
+        // One past the highest non-empty bucket of each class.
+        let mut top = [0usize; 3];
+        Self::enqueue(&mut self.buckets[0], &mut top[0], 0, dst);
+        for (c, &class) in CLASSES.iter().enumerate() {
+            let mut h = 0;
+            while h < top[c] {
+                let mut settled = std::mem::take(&mut self.buckets[c][h]);
+                for &x in &settled {
+                    if self.best[x] != Some((class, h as u32)) {
+                        continue; // superseded
+                    }
+                    for &(y, class_at_y) in &adj.neighbors[x] {
+                        // Export rule: x -> y allowed if y is x's customer,
+                        // i.e. y would class the route "Provider"; otherwise
+                        // only customer routes (and the origin's own) are
+                        // exported.
+                        let exporting_down = class_at_y == RouteClass::Provider;
+                        if !exporting_down && class != RouteClass::Customer {
+                            continue;
+                        }
+                        let cand = (class_at_y, h as u32 + 1);
+                        match self.best[y] {
+                            Some(cur) if cur < cand => {}
+                            Some(cur) if cur == cand => {
+                                if !self.nexts[y].contains(&x) {
+                                    self.nexts[y].push(x);
+                                }
+                            }
+                            _ => {
+                                self.best[y] = Some(cand);
+                                self.nexts[y].clear();
+                                self.nexts[y].push(x);
+                                let cy = class_at_y as usize;
+                                Self::enqueue(&mut self.buckets[cy], &mut top[cy], h + 1, y);
+                            }
                         }
                     }
-                    _ => {
-                        self.best[y] = Some(cand);
-                        self.nexts[y].clear();
-                        self.nexts[y].push(x);
-                        self.heap.push(Reverse((cand.0, cand.1, y)));
-                    }
                 }
+                settled.clear();
+                self.buckets[c][h] = settled;
+                h += 1;
             }
         }
     }
+
+    /// Puts `y` in bucket `hops` of one class, growing the class's
+    /// buckets (kept across destinations) and its `top` as needed.
+    fn enqueue(buckets: &mut Vec<Vec<usize>>, top: &mut usize, hops: usize, y: usize) {
+        if buckets.len() <= hops {
+            buckets.resize_with(hops + 1, Vec::new);
+        }
+        buckets[hops].push(y);
+        *top = (*top).max(hops + 1);
+    }
+}
+
+/// Tag bit of a [`columns`] cell holding a multi-hop set: the low bits
+/// are the set's index among its worker's sets.
+const MULTI: u32 = 1 << 31;
+
+/// Runs the per-destination Dijkstra for destinations `first..` — one
+/// per `n`-cell column of `out` — and writes every source's next hops
+/// compactly: `0` for none, `x + 1` for the singleton `{x}`, and
+/// `MULTI | k` for a larger set, the `k`-th distinct one (sorted) this
+/// call met, as returned.
+fn columns(adj: &AsAdj, first: usize, out: &mut [u32]) -> Vec<Vec<u32>> {
+    let n = adj.neighbors.len();
+    let mut scratch = DestScratch::new(n);
+    let mut sets: Vec<Vec<u32>> = Vec::new();
+    let mut index: HashMap<Vec<u32>, u32> = HashMap::new();
+    let mut key: Vec<u32> = Vec::new();
+    for (d, col) in out.chunks_mut(n.max(1)).enumerate() {
+        scratch.run(adj, first + d);
+        for (cell, hops) in col.iter_mut().zip(&scratch.nexts) {
+            *cell = match hops.as_slice() {
+                [] => 0,
+                &[x] => x as u32 + 1,
+                many => {
+                    key.clear();
+                    key.extend(many.iter().map(|&x| x as u32));
+                    key.sort_unstable();
+                    let k = match index.get(key.as_slice()) {
+                        Some(&k) => k,
+                        None => {
+                            let k = sets.len() as u32;
+                            assert!(k < MULTI, "distinct next-hop sets fit 31 bits");
+                            sets.push(key.clone());
+                            index.insert(key.clone(), k);
+                            k
+                        }
+                    };
+                    MULTI | k
+                }
+            };
+        }
+    }
+    sets
 }
 
 impl Bgp {
     /// Computes valley-free best routes for every (source, destination)
     /// AS pair, interning each distinct next-hop set once. Set ids are
     /// assigned in order of first appearance (destination-major), so
-    /// the table is a pure function of the network.
+    /// the table is a pure function of the network. Serial; see
+    /// [`Self::compute_with_jobs`].
     pub fn compute(net: &Network) -> Result<Bgp, NetError> {
+        Bgp::compute_with_jobs(net, 1)
+    }
+
+    /// [`Self::compute`] with the per-destination Dijkstras split over
+    /// at most `jobs` scoped worker threads, each taking a contiguous
+    /// run of destinations and writing one compact column per
+    /// destination (`columns`). One serial pass then interns the sets
+    /// in destination order, so set ids and the pool are identical at
+    /// every job count.
+    pub fn compute_with_jobs(net: &Network, jobs: usize) -> Result<Bgp, NetError> {
         let adj = build_adj(net)?;
         let n = net.as_list().len();
+        // `cells[dst * n + src]`: src's next hops towards dst, as
+        // `columns` encodes them — destination-major, so each worker
+        // owns a contiguous block.
+        let mut cells = vec![0u32; n * n];
+        let chunk = n.div_ceil(jobs.max(1)).max(1);
+        let sets: Vec<Vec<Vec<u32>>> = if chunk >= n {
+            vec![columns(&adj, 0, &mut cells)]
+        } else {
+            let adj = &adj;
+            std::thread::scope(|scope| {
+                let workers: Vec<_> = cells
+                    .chunks_mut(chunk * n)
+                    .enumerate()
+                    .map(|(w, block)| scope.spawn(move || columns(adj, w * chunk, block)))
+                    .collect();
+                workers
+                    .into_iter()
+                    .map(|w| w.join().expect("BGP worker panicked"))
+                    .collect()
+            })
+        };
         let mut bgp = Bgp {
             n,
-            set_of: vec![0; n * n],
+            set_of: Vec::new(),
             set_base: vec![0, 0],
             set_pool: Vec::new(),
         };
-        // Singleton sets — the vast majority — intern through a direct
-        // table; larger sets through a map keyed by the sorted set.
+        // Singletons — the vast majority — intern through a direct
+        // table; a worker's larger sets through `global[worker][k]`,
+        // filled from a map keyed by the sorted set the first time the
+        // set appears. Each cell is overwritten with its id in place.
         let mut singleton = vec![0u32; n];
-        let mut multi: HashMap<Vec<u32>, u32> = HashMap::new();
-        let mut key: Vec<u32> = Vec::new();
-        let mut scratch = DestScratch::new(n);
-        for dst in 0..n {
-            scratch.run(&adj, dst);
-            for (src, hops) in scratch.nexts.iter().enumerate() {
-                let id = match hops.as_slice() {
-                    [] => continue,
-                    &[x] => {
+        let mut global: Vec<Vec<u32>> = sets.iter().map(|s| vec![0; s.len()]).collect();
+        let mut multi: HashMap<&[u32], u32> = HashMap::new();
+        for (dst, col) in cells.chunks_mut(n.max(1)).enumerate() {
+            let w = dst / chunk;
+            for cell in col {
+                *cell = match *cell {
+                    0 => 0,
+                    v if v & MULTI == 0 => {
+                        let x = (v - 1) as usize;
                         if singleton[x] == 0 {
                             singleton[x] = bgp.push_set(&[x as u32]);
                         }
                         singleton[x]
                     }
-                    many => {
-                        key.clear();
-                        key.extend(many.iter().map(|&x| x as u32));
-                        key.sort_unstable();
-                        match multi.get(&key) {
-                            Some(&id) => id,
-                            None => {
-                                let id = bgp.push_set(&key);
-                                multi.insert(key.clone(), id);
-                                id
-                            }
+                    v => {
+                        let k = (v & !MULTI) as usize;
+                        if global[w][k] == 0 {
+                            let set = sets[w][k].as_slice();
+                            global[w][k] = *multi.entry(set).or_insert_with(|| bgp.push_set(set));
                         }
+                        global[w][k]
                     }
                 };
-                bgp.set_of[src * n + dst] = id;
             }
         }
+        // Transpose in place to the source-major `set_of` layout.
+        for dst in 0..n {
+            for src in dst + 1..n {
+                cells.swap(dst * n + src, src * n + dst);
+            }
+        }
+        bgp.set_of = cells;
         Ok(bgp)
     }
 

@@ -5,10 +5,11 @@
 //! 1. per-AS IGP distance matrices ([`AsIgp`]), in parallel across
 //!    ASes (`build_with_jobs`) with a deterministic AS-ordered merge;
 //! 2. per-router intra-AS FIBs (ECMP next-hop sets towards the nearest
-//!    owner of each internal prefix), flattened into one shared pool
-//!    with per-router offset tables;
+//!    owner of each internal prefix), computed per AS in the same
+//!    parallel phase and concatenated into one flat [`Fib`];
 //! 3. external routes: hot-potato egress selection over the
-//!    valley-free AS-level routes ([`Bgp`]), computed once per
+//!    valley-free AS-level routes ([`Bgp`], one Dijkstra per
+//!    destination AS, split over the same workers), computed once per
 //!    `(source AS, next-hop set)` class inside the per-AS phase and
 //!    stored as a per-AS-pair class id plus one short row per router;
 //! 4. LDP bindings ([`LdpBindings`]) and per-router LFIBs implementing
@@ -20,7 +21,7 @@ use crate::addr::Addr;
 use crate::bgp::Bgp;
 use crate::error::NetError;
 use crate::ids::{Asn, Label, LinkId, RouterId};
-use crate::igp::AsIgp;
+use crate::igp::{AsIgp, INF};
 use crate::ldp::{LabelValue, LdpBindings};
 use crate::net::Network;
 use crate::prefixes::AsPrefixes;
@@ -245,13 +246,8 @@ pub struct ControlPlane {
     pub bgp: Bgp,
     /// LDP advertisements.
     pub bindings: LdpBindings,
-    /// Router → base index into [`Self::fib_spans`] (one span per slot
-    /// of the router's own AS table); length `num_routers + 1`.
-    fib_base: Vec<u32>,
-    /// `(start, len)` into [`Self::fib_pool`] per `(router, slot)`.
-    fib_spans: Vec<(u32, u32)>,
-    /// Concatenated ECMP next-hop sets `(iface index, next router)`.
-    fib_pool: Vec<(u32, RouterId)>,
+    /// Intra-AS FIBs of every router, as [`logical_fib`] computes them.
+    fib: Fib,
     /// External-route class of every AS pair:
     /// `ext_class[src_as * ext_stride + dst_as]` indexes the row of
     /// every member of `src_as`. Class 0 is unreachable (and the
@@ -323,9 +319,9 @@ struct AsExt {
     routes: Vec<ExtRoute>,
 }
 
-/// Phase-1 output for one AS: its IGP view, prefix table and external
-/// routes.
-type AsPhase = (AsIgp, AsPrefixes, AsExt);
+/// Phase-1 output for one AS: its IGP view, prefix table, FIB slice and
+/// external routes.
+type AsPhase = (AsIgp, AsPrefixes, AsFib, AsExt);
 
 fn compute_as(net: &Network, bgp: &Bgp, as_idx: usize) -> Result<AsPhase, NetError> {
     let asn = net.as_list()[as_idx];
@@ -334,8 +330,9 @@ fn compute_as(net: &Network, bgp: &Bgp, as_idx: usize) -> Result<AsPhase, NetErr
         return Err(NetError::DisconnectedAs { asn, unreachable });
     }
     let prefixes = AsPrefixes::build(net, asn);
+    let fib = as_fib(&view, &prefixes);
     let ext = class_routes(net, &view, bgp, as_idx)?;
-    Ok((view, prefixes, ext))
+    Ok((view, prefixes, fib, ext))
 }
 
 /// The external routes of source AS `src_as`, computed once per class:
@@ -405,7 +402,7 @@ fn class_routes(net: &Network, view: &AsIgp, bgp: &Bgp, src_as: usize) -> Result
                             .map(|&(lb, b, _)| (view.dist[local][lb], b))
                             .min()
                             .expect("candidates is non-empty");
-                        if d < crate::igp::INF {
+                        if d < INF {
                             ExtRoute::ViaEgress { egress }
                         } else {
                             ExtRoute::Unreachable
@@ -432,7 +429,7 @@ fn class_routes(net: &Network, view: &AsIgp, bgp: &Bgp, src_as: usize) -> Result
 /// choice among them. This is the per-pair loop the class tables of
 /// [`ControlPlane::build`] replace, kept as the oracle the D513
 /// verifier and the equivalence tests check [`ControlPlane::ext_route`]
-/// against — the role [`logical_fib`] plays for the FIB.
+/// against; it shares no code with the per-class build.
 pub fn hot_potato_route(
     net: &Network,
     igp: &[AsIgp],
@@ -493,59 +490,149 @@ pub fn hot_potato_choice(
         .map(|&(b, _)| (view.distance(router, b), b))
         .min()
     {
-        Some((d, egress)) if d < crate::igp::INF => ExtRoute::ViaEgress { egress },
+        Some((d, egress)) if d < INF => ExtRoute::ViaEgress { egress },
         _ => ExtRoute::Unreachable,
     }
 }
 
-/// The *logical* intra-AS FIB: for every router, the per-slot ECMP
-/// next-hop set towards the nearest owner of each internal prefix of
-/// its own AS (empty for connected or unreachable prefixes). This is
-/// the semantic model that [`ControlPlane::build`] flattens into
-/// `fib_base`/`fib_spans`/`fib_pool`; the `wormhole-lint` D5xx
-/// verifier re-derives it to cross-check the dense encoding, so build
-/// and verifier stay in lockstep by construction.
-pub fn logical_fib(
-    net: &Network,
-    igp: &[AsIgp],
-    as_prefixes: &[AsPrefixes],
-) -> Vec<Vec<Vec<(u32, RouterId)>>> {
-    let mut fib: Vec<Vec<Vec<(u32, RouterId)>>> = vec![Vec::new(); net.num_routers()];
-    for (as_idx, ap) in as_prefixes.iter().enumerate() {
-        let view = &igp[as_idx];
-        for &rid in net.as_members(ap.asn) {
-            let table = &mut fib[rid.index()];
-            table.resize(ap.len(), Vec::new());
-            for slot in 0..ap.len() as u32 {
-                let owners = ap.owners(slot);
-                if owners.contains(&rid) {
-                    continue; // connected route, engine handles it
-                }
-                let best = owners
-                    .iter()
-                    .map(|&o| view.distance(rid, o))
-                    .min()
-                    .unwrap_or(crate::igp::INF);
-                if best >= crate::igp::INF {
-                    continue;
-                }
-                let mut hops: Vec<(u32, RouterId)> = Vec::new();
-                for &o in owners {
-                    if view.distance(rid, o) != best {
-                        continue;
-                    }
-                    for &h in view.first_hops(rid, o) {
-                        if !hops.contains(&h) {
-                            hops.push(h);
+/// The intra-AS FIB of every router in one flat CSR: a router's row
+/// holds one span per prefix slot of its own AS table, and each span is
+/// that slot's ECMP next-hop set `(iface index, next router)`, sorted by
+/// `(next, iface)` — empty for connected or unreachable prefixes.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Fib {
+    /// Router → base index into `spans`; length `num_routers + 1`.
+    base: Vec<u32>,
+    /// `(start, len)` into `pool` per `(router, slot)`.
+    spans: Vec<(u32, u32)>,
+    /// Concatenated ECMP next-hop sets.
+    pool: Vec<(u32, RouterId)>,
+}
+
+impl Fib {
+    /// Number of slots in `router`'s row: its AS's prefix count.
+    pub fn slots(&self, router: RouterId) -> usize {
+        (self.base[router.index() + 1] - self.base[router.index()]) as usize
+    }
+
+    /// The ECMP next-hop set of `router` for prefix `slot`; empty when
+    /// the router owns the prefix, cannot reach it, or the slot is past
+    /// its row.
+    #[inline]
+    pub fn entry(&self, router: RouterId, slot: u32) -> &[(u32, RouterId)] {
+        if slot as usize >= self.slots(router) {
+            return &[];
+        }
+        let (start, len) = self.spans[self.base[router.index()] as usize + slot as usize];
+        &self.pool[start as usize..(start + len) as usize]
+    }
+
+    /// Concatenates per-AS slices into router order. `member_of[r]` is
+    /// router `r`'s `(dense AS index, local member index)`; a router
+    /// whose AS has no slice gets an empty row.
+    fn assemble(member_of: &[(usize, usize)], parts: &[AsFib]) -> Fib {
+        let mut base = Vec::with_capacity(member_of.len() + 1);
+        let mut spans = Vec::with_capacity(parts.iter().map(|p| p.spans.len()).sum());
+        let mut pool = Vec::with_capacity(parts.iter().map(|p| p.pool.len()).sum());
+        for &(as_idx, local) in member_of {
+            base.push(spans.len() as u32);
+            let Some(part) = parts.get(as_idx) else {
+                continue;
+            };
+            let row = &part.spans[local * part.slots..(local + 1) * part.slots];
+            let (Some(first), Some(last)) = (row.first(), row.last()) else {
+                continue;
+            };
+            // A member's spans tile one contiguous run of its AS's pool.
+            let (lo, hi) = (first.0, last.0 + last.1);
+            let at = pool.len() as u32;
+            spans.extend(row.iter().map(|&(start, len)| (start - lo + at, len)));
+            pool.extend_from_slice(&part.pool[lo as usize..hi as usize]);
+        }
+        base.push(spans.len() as u32);
+        Fib { base, spans, pool }
+    }
+}
+
+/// One AS's slice of the [`Fib`], in local member order: member `i`'s
+/// span for `slot` is `spans[i * slots + slot]`, into `pool`.
+struct AsFib {
+    /// Prefix slots of the AS table: the row width of every member.
+    slots: usize,
+    spans: Vec<(u32, u32)>,
+    pool: Vec<(u32, RouterId)>,
+}
+
+/// The FIB rows of every member of `view`'s AS. Each slot's owners are
+/// resolved to local indices once; the per-`(member, slot)` work then
+/// reads the distance row and first-hop cells by local index and
+/// appends straight into the pool, without a hash lookup or an
+/// allocation.
+fn as_fib(view: &AsIgp, ap: &AsPrefixes) -> AsFib {
+    let slots = ap.len();
+    let mut owner_base = Vec::with_capacity(slots + 1);
+    let mut owners: Vec<usize> = Vec::new();
+    owner_base.push(0);
+    for slot in 0..slots as u32 {
+        owners.extend(ap.owners(slot).iter().filter_map(|o| view.local.get(o)));
+        owner_base.push(owners.len());
+    }
+    let mut spans = Vec::with_capacity(view.members.len() * slots);
+    let mut pool: Vec<(u32, RouterId)> = Vec::new();
+    for (ls, dist) in view.dist.iter().enumerate() {
+        for w in owner_base.windows(2) {
+            let start = pool.len();
+            let own = &owners[w[0]..w[1]];
+            // Owners route the prefix as connected; the engine handles it.
+            if !own.contains(&ls) {
+                let best = own.iter().map(|&o| dist[o]).min().unwrap_or(INF);
+                if best < INF {
+                    for &o in own.iter().filter(|&&o| dist[o] == best) {
+                        for &h in view.first_hops_at(ls, o) {
+                            if !pool[start..].contains(&h) {
+                                pool.push(h);
+                            }
                         }
                     }
+                    pool[start..].sort_unstable_by_key(|&(i, r)| (r, i));
                 }
-                hops.sort_by_key(|&(i, r)| (r, i));
-                table[slot as usize] = hops;
             }
+            spans.push((start as u32, (pool.len() - start) as u32));
         }
     }
-    fib
+    AsFib { slots, spans, pool }
+}
+
+/// `(dense AS index, local member index)` of every router, from the
+/// member lists of the per-AS IGP views; `(usize::MAX, 0)` for a router
+/// no view lists.
+fn member_index(num_routers: usize, igp: &[AsIgp]) -> Vec<(usize, usize)> {
+    let mut member_of = vec![(usize::MAX, 0usize); num_routers];
+    for (as_idx, view) in igp.iter().enumerate() {
+        for (local, &rid) in view.members.iter().enumerate() {
+            member_of[rid.index()] = (as_idx, local);
+        }
+    }
+    member_of
+}
+
+/// The *logical* intra-AS FIB: for every router, the per-slot ECMP
+/// next-hop set towards the nearest owner(s) of each internal prefix of
+/// its own AS — the union of the IGP first hops towards every owner at
+/// the minimum distance — empty for connected or unreachable prefixes.
+///
+/// [`ControlPlane::build`] runs the same per-AS computation on its
+/// workers and stores the result as its FIB; the `wormhole-lint` D508
+/// rule re-derives it here, serially, from the plane's IGP views and
+/// prefix tables and compares it row by row with the stored one, and
+/// D507 derives the expected LDP LFIB from it.
+pub fn logical_fib(net: &Network, igp: &[AsIgp], as_prefixes: &[AsPrefixes]) -> Fib {
+    let parts: Vec<AsFib> = igp
+        .iter()
+        .zip(as_prefixes)
+        .map(|(view, ap)| as_fib(view, ap))
+        .collect();
+    Fib::assemble(&member_index(net.num_routers(), igp), &parts)
 }
 
 /// The LFIB branches a router installs for FEC `slot` given its ECMP
@@ -555,22 +642,26 @@ pub fn logical_fib(
 /// swap-to-explicit-null on UHP. Shared by [`ControlPlane::build`] and
 /// the D5xx verifier.
 pub fn ldp_lfib_hops(bindings: &LdpBindings, slot: u32, hops: &[(u32, RouterId)]) -> Vec<LfibHop> {
-    let mut out = Vec::with_capacity(hops.len());
-    for &(iface, next) in hops {
-        let action = match bindings.advertised(next, slot) {
-            Some(LabelValue::Real(out_label)) => LabelAction::Swap(out_label),
-            Some(LabelValue::ImplicitNull) => LabelAction::Pop,
-            Some(LabelValue::ExplicitNull) => LabelAction::SwapExplicitNull,
-            // Downstream has no binding: "untagged".
-            None => LabelAction::Pop,
-        };
-        out.push(LfibHop {
-            iface,
-            next,
-            action,
-        });
+    hops.iter()
+        .map(|&hop| ldp_lfib_hop(bindings, slot, hop))
+        .collect()
+}
+
+/// One branch of [`ldp_lfib_hops`]: the label operation towards `next`
+/// for FEC `slot`, per `next`'s LDP advertisement.
+pub fn ldp_lfib_hop(bindings: &LdpBindings, slot: u32, (iface, next): (u32, RouterId)) -> LfibHop {
+    let action = match bindings.advertised(next, slot) {
+        Some(LabelValue::Real(out_label)) => LabelAction::Swap(out_label),
+        Some(LabelValue::ImplicitNull) => LabelAction::Pop,
+        Some(LabelValue::ExplicitNull) => LabelAction::SwapExplicitNull,
+        // Downstream has no binding: "untagged".
+        None => LabelAction::Pop,
+    };
+    LfibHop {
+        iface,
+        next,
+        action,
     }
-    out
 }
 
 /// The label program of every RSVP-TE tunnel: the transit LFIB entries
@@ -660,13 +751,14 @@ impl ControlPlane {
     }
 
     /// Computes the full control plane with at most `jobs` worker
-    /// threads for the per-AS phase: IGP (one Dijkstra per AS member),
-    /// prefix table and the AS's external-route classes. The result is
-    /// byte-identical at any job count: workers fill disjoint AS-index
-    /// slots and the merge walks them in AS order, so the first error
-    /// by AS index wins deterministically.
+    /// threads for BGP (per destination AS, [`Bgp::compute_with_jobs`])
+    /// and for the per-AS phase: IGP (one Dijkstra per AS member),
+    /// prefix table, FIB rows and the AS's external-route classes. The
+    /// result is byte-identical at any job count: workers fill disjoint
+    /// AS-index slots and the merge walks them in AS order, so the first
+    /// error by AS index wins deterministically.
     pub fn build_with_jobs(net: &Network, jobs: usize) -> Result<ControlPlane, NetError> {
-        let bgp = Bgp::compute(net)?;
+        let bgp = Bgp::compute_with_jobs(net, jobs)?;
         let as_list = net.as_list();
         let n_as = as_list.len();
         let jobs = jobs.max(1).min(n_as.max(1));
@@ -693,31 +785,30 @@ impl ControlPlane {
         }
         let mut as_prefixes = Vec::with_capacity(n_as);
         let mut igp = Vec::with_capacity(n_as);
+        let mut fibs = Vec::with_capacity(n_as);
         let mut exts = Vec::with_capacity(n_as);
         for slot in slots.into_iter().flatten() {
-            let (view, prefixes, ext) = slot?;
+            let (view, prefixes, fib, ext) = slot?;
             igp.push(view);
             as_prefixes.push(prefixes);
+            fibs.push(fib);
             exts.push(ext);
         }
         let bindings = LdpBindings::compute(net, &as_prefixes);
 
-        // Intra-AS FIBs, first into the logical per-router scratch
-        // table that the dense pool below flattens.
-        let fib = logical_fib(net, &igp, &as_prefixes);
+        // Intra-AS FIBs: the per-AS slices concatenated in router order.
+        let member_of = member_index(net.num_routers(), &igp);
+        let fib = Fib::assemble(&member_of, &fibs);
+        drop(fibs);
 
         // External-route class tables: the per-AS class ids side by
         // side, then each router's row (its AS's route for it in every
         // class) in router order.
         let mut ext_class = Vec::with_capacity(n_as * n_as);
         let mut ext_width = Vec::with_capacity(n_as);
-        let mut member_of = vec![(usize::MAX, 0usize); net.num_routers()];
-        for (as_idx, (ext, view)) in exts.iter().zip(&igp).enumerate() {
+        for ext in &exts {
             ext_class.extend_from_slice(&ext.class);
             ext_width.push(ext.width);
-            for (local, &rid) in view.members.iter().enumerate() {
-                member_of[rid.index()] = (as_idx, local);
-            }
         }
         let mut ext_row = Vec::with_capacity(net.num_routers() + 1);
         let mut ext_pool = Vec::new();
@@ -740,7 +831,7 @@ impl ControlPlane {
                     let LabelValue::Real(in_label) = value else {
                         continue;
                     };
-                    let hops = ldp_lfib_hops(&bindings, slot, &fib[rid.index()][slot as usize]);
+                    let hops = ldp_lfib_hops(&bindings, slot, fib.entry(rid, slot));
                     if !hops.is_empty() {
                         lfib[rid.index()].insert(
                             in_label,
@@ -773,19 +864,6 @@ impl ControlPlane {
             }
         }
         te_heads.push(te_routes.len() as u32);
-
-        // Flatten the per-router FIB scratch into the shared pool.
-        let mut fib_base = Vec::with_capacity(net.num_routers() + 1);
-        let mut fib_spans = Vec::new();
-        let mut fib_pool = Vec::new();
-        for table in &fib {
-            fib_base.push(fib_spans.len() as u32);
-            for hops in table {
-                fib_spans.push((fib_pool.len() as u32, hops.len() as u32));
-                fib_pool.extend_from_slice(hops);
-            }
-        }
-        fib_base.push(fib_spans.len() as u32);
 
         // Dense destination-resolution tables: the forwarding decision
         // only ever LPMs an address inside the AS that owns it (the
@@ -888,9 +966,7 @@ impl ControlPlane {
             igp,
             bgp,
             bindings,
-            fib_base,
-            fib_spans,
-            fib_pool,
+            fib,
             ext_class,
             ext_stride: n_as,
             ext_width,
@@ -1000,16 +1076,8 @@ impl ControlPlane {
     /// the prefix or it is unreachable.
     #[inline]
     pub fn fib_entry(&self, router: RouterId, slot: u32) -> Option<&[(u32, RouterId)]> {
-        let base = self.fib_base[router.index()] as usize;
-        let n_slots = self.fib_base[router.index() + 1] as usize - base;
-        if slot as usize >= n_slots {
-            return None;
-        }
-        let (start, len) = self.fib_spans[base + slot as usize];
-        if len == 0 {
-            return None;
-        }
-        Some(&self.fib_pool[start as usize..(start + len) as usize])
+        let hops = self.fib.entry(router, slot);
+        (!hops.is_empty()).then_some(hops)
     }
 
     /// The external route of `router` towards the AS with dense index
@@ -1085,9 +1153,9 @@ impl ControlPlane {
     /// well-formedness without the tables becoming public fields.
     pub fn dense_view(&self) -> DenseView<'_> {
         DenseView {
-            fib_base: &self.fib_base,
-            fib_spans: &self.fib_spans,
-            fib_pool: &self.fib_pool,
+            fib_base: &self.fib.base,
+            fib_spans: &self.fib.spans,
+            fib_pool: &self.fib.pool,
             te_heads: &self.te_heads,
             te_routes: &self.te_routes,
             loopback_slot: &self.loopback_slot,
@@ -1188,17 +1256,17 @@ impl ControlPlane {
 
     /// Mutable `fib_base` CSR offsets.
     pub fn fib_base_mut(&mut self) -> &mut Vec<u32> {
-        &mut self.fib_base
+        &mut self.fib.base
     }
 
     /// Mutable `fib_spans` table.
     pub fn fib_spans_mut(&mut self) -> &mut Vec<(u32, u32)> {
-        &mut self.fib_spans
+        &mut self.fib.spans
     }
 
     /// Mutable `fib_pool`.
     pub fn fib_pool_mut(&mut self) -> &mut Vec<(u32, RouterId)> {
-        &mut self.fib_pool
+        &mut self.fib.pool
     }
 
     /// Mutable per-router loopback slot table.

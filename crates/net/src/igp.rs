@@ -15,6 +15,12 @@ pub const INF: u32 = u32::MAX / 2;
 
 /// The IGP view of one AS: members, the all-pairs distance matrix, and
 /// the precomputed all-pairs ECMP first-hop sets in CSR layout.
+///
+/// Everything is indexed by *local* member index (position in
+/// [`Self::members`]). [`Self::distance`] and [`Self::first_hops`] take
+/// router ids and pay a [`Self::local`] hash lookup per call; table
+/// builders that already hold local indices read [`Self::dist`] and
+/// [`Self::first_hops_at`] directly.
 #[derive(Debug, Clone)]
 pub struct AsIgp {
     /// The AS.
@@ -94,10 +100,20 @@ impl AsIgp {
     /// Empty when `d` is unreachable or `s == d`. Borrowed from the
     /// table precomputed by [`AsIgp::compute`]; no per-call allocation.
     pub fn first_hops(&self, s: RouterId, d: RouterId) -> &[(u32, RouterId)] {
-        let (ls, ld) = match (self.local.get(&s), self.local.get(&d)) {
-            (Some(&ls), Some(&ld)) => (ls, ld),
-            _ => return &[],
-        };
+        match (self.local.get(&s), self.local.get(&d)) {
+            (Some(&ls), Some(&ld)) => self.first_hops_at(ls, ld),
+            _ => &[],
+        }
+    }
+
+    /// [`Self::first_hops`] by local member indices (`members[ls]`
+    /// towards `members[ld]`): one CSR cell read, no hash lookup — the
+    /// form per-AS table builders use once they hold local indices.
+    ///
+    /// # Panics
+    /// Panics when either index is not below `members.len()`.
+    #[inline]
+    pub fn first_hops_at(&self, ls: usize, ld: usize) -> &[(u32, RouterId)] {
         let cell = ls * self.members.len() + ld;
         let lo = self.fh_index[cell] as usize;
         let hi = self.fh_index[cell + 1] as usize;

@@ -67,9 +67,9 @@ pub mod wire;
 pub use addr::{Addr, AddrAllocator, Prefix};
 pub use bgp::{Bgp, RouteClass};
 pub use control::{
-    hot_potato_candidates, hot_potato_choice, hot_potato_route, ldp_lfib_hops, logical_fib,
-    te_program, walk, ControlPlane, DenseView, ExtRoute, LabelAction, LfibEntry, LfibHop, LfibRaw,
-    TeRoute, WalkIface, OWNER_PAGE_SIZE,
+    hot_potato_candidates, hot_potato_choice, hot_potato_route, ldp_lfib_hop, ldp_lfib_hops,
+    logical_fib, te_program, walk, ControlPlane, DenseView, ExtRoute, Fib, LabelAction, LfibEntry,
+    LfibHop, LfibRaw, TeRoute, WalkIface, OWNER_PAGE_SIZE,
 };
 pub use engine::{DropReason, Engine, EngineOpts, EngineStats, ReplyInfo, ReplyKind, SendOutcome};
 pub use error::NetError;
